@@ -16,7 +16,7 @@ import sys
 from .denominators import abramov_reduce, check_gosper_rep, check_gp_rep, gp_rep_from_trace, gp_reduce
 from .dispersion import dispersion
 from .expressions import EvalError, ParseError, parse_poly, parse_ratfunc
-from .gcdseq import gcd_limit, universal_denominator
+from .gcdseq import gcd_limit
 from .pipelines import gosper, rational_solve, verify_gosper, verify_rational
 from .polys import Poly, RatFunc, exact_div, gcd_monic
 from .recurrences import LinearRecurrence
@@ -89,7 +89,7 @@ def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
     lines: list[str] = []
     if args.method == "explicit":
         trace = gcd_limit(p0, pd, args.order)
-        denominator = universal_denominator(p0, pd, args.order)
+        denominator = trace.limit
         payload["max_shift"] = trace.max_shift
         if args.verbose:
             payload["trace"] = [_poly_json(g) for g in trace.trace]

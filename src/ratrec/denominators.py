@@ -78,16 +78,23 @@ def abramov_reduce(p0: Poly, pd: Poly, d: int) -> AbramovTrace:
     Extracts, for i = N down to 0, the monic gcd of the current pair taken
     at relative shift i, dividing it out of both sides; the universal
     denominator is the product of the extracted factors expanded as
-    falling factorials.
+    falling factorials.  Only the shifts the dispersion names as witnesses
+    can give a nontrivial gcd; every other step records 1 without a gcd.
     """
     if p0.is_zero or pd.is_zero:
         raise ValueError("reduction needs nonzero coefficient polynomials")
-    n_max = dispersion(shift(pd, -d), p0).value
     lead = shift(pd, -d)
+    shifts = dispersion(lead, p0)
+    n_max = shifts.value
+    witnessed = {k for k, _ in shifts.witnesses}
     trail = p0
     steps: list[Poly] = []
     denominator = Poly.one()
     for i in range(n_max, -1, -1):
+        if i not in witnessed:
+            # the current pair divides the original one, which is coprime at shift i
+            steps.append(Poly.one())
+            continue
         g = gcd_monic(lead, shift(trail, i))
         steps.append(g)
         if g.degree > 0:
@@ -109,12 +116,18 @@ def gp_reduce(a: Poly, b: Poly) -> GPTrace:
         raise ValueError("reduction needs nonzero polynomials")
     if gcd_monic(a, b).degree > 0:
         raise ValueError("gp reduction expects a coprime pair")
-    n_max = dispersion(shift(a, -1), b).value
+    shifts = dispersion(shift(a, -1), b)
+    n_max = shifts.value
+    # a(n-1), b(n+k) share a factor exactly when a(n), b(n+k+1) do
+    witnessed = {k + 1 for k, _ in shifts.witnesses}
     num = a
     den = b
     steps: list[Poly] = []
     denominator = Poly.one()
     for i in range(1, n_max + 2):
+        if i not in witnessed:
+            steps.append(Poly.one())
+            continue
         g = gcd_monic(num, shift(den, i))
         steps.append(g)
         if g.degree > 0:

@@ -10,7 +10,6 @@ an explicit gcd, so an interpolation bug cannot produce a wrong answer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,17 +43,14 @@ def resultant(a: Poly, b: Poly) -> Fraction:
 def integer_roots(p: Poly) -> set[int]:
     """All integer roots of a nonzero polynomial.
 
-    Denominators are cleared to a primitive integer polynomial, the power
-    of n is stripped (contributing the root 0), and the divisors of the
-    trailing coefficient are tested with both signs.  Divisors are pruned
+    Works on the primitive integer coefficients: the power of n is
+    stripped (contributing the root 0), and the divisors of the trailing
+    coefficient are tested with both signs.  Divisors are pruned
     by the Cauchy root bound before testing.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every integer as a root")
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
+    ints = p.primitive
     low = 0
     while ints[low] == 0:
         low += 1
@@ -62,10 +58,6 @@ def integer_roots(p: Poly) -> set[int]:
     ints = ints[low:]
     if len(ints) == 1:
         return roots
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    ints = [c // content for c in ints]
 
     def value_at(x: int) -> int:
         acc = 0

@@ -8,6 +8,8 @@ Grammar (whitespace is skipped; implicit multiplication is not allowed):
     base   := uint | 'n' | '(' expr ')' | '-' factor
 
 '^' binds tightest and takes a bare nonnegative integer literal exponent.
+Parentheses and unary minus signs nest at most MAX_NESTING levels deep;
+deeper input is a ParseError at the offending token.
 Parsing yields a small AST; evaluation folds it into an exact reduced
 rational function of n.  Formatting writes polynomials in descending
 powers with rational coefficients, and the output parses back to the same
@@ -110,10 +112,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Parentheses and unary minus signs may nest at most this deep; the parser
+# recurses once per level, so the bound keeps it inside the interpreter's stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -161,15 +169,19 @@ class _Parser:
         if tok.kind == "n":
             self.advance()
             return Variable(tok.offset)
+        if tok.kind not in ("(", "-"):
+            raise ParseError("expected a number, 'n', '(' or '-'", tok.offset)
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING} levels", tok.offset)
+        self.advance()
+        self.depth += 1
         if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
+            node = self.expr()
             self.expect(")")
-            return inner
-        if tok.kind == "-":
-            self.advance()
-            return Negate(self.factor(), tok.offset)
-        raise ParseError("expected a number, 'n', '(' or '-'", tok.offset)
+        else:
+            node = Negate(self.factor(), tok.offset)
+        self.depth -= 1
+        return node
 
 
 def parse(text: str) -> Expr:
@@ -182,29 +194,50 @@ def parse(text: str) -> Expr:
 
 
 def eval_to_ratfunc(node: Expr) -> RatFunc:
-    """Exact evaluation of a parsed expression into a reduced RatFunc."""
-    if isinstance(node, Number):
-        return RatFunc.from_poly(Poly.const(node.value))
-    if isinstance(node, Variable):
-        return RatFunc.from_poly(Poly.variable())
-    if isinstance(node, Negate):
-        return -eval_to_ratfunc(node.operand)
-    if isinstance(node, Power):
-        base = eval_to_ratfunc(node.base)
-        return RatFunc(base.num ** node.exponent, base.den ** node.exponent)
-    if isinstance(node, BinaryOp):
-        left = eval_to_ratfunc(node.left)
-        right = eval_to_ratfunc(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right.is_zero:
-            raise EvalError("division by an expression that is zero", node.offset)
-        return left / right
-    raise TypeError(f"not an expression node: {node!r}")
+    """Exact evaluation of a parsed expression into a reduced RatFunc.
+
+    Walks the tree with an explicit stack, so a long chain of operators
+    (a left-deep tree) needs no deep recursion.
+    """
+    values: list[RatFunc] = []
+    todo: list[tuple[Expr, bool]] = [(node, False)]
+    while todo:
+        item, children_done = todo.pop()
+        if isinstance(item, Number):
+            values.append(RatFunc.from_poly(Poly.const(item.value)))
+        elif isinstance(item, Variable):
+            values.append(RatFunc.from_poly(Poly.variable()))
+        elif not isinstance(item, (Negate, Power, BinaryOp)):
+            raise TypeError(f"not an expression node: {item!r}")
+        elif not children_done:
+            todo.append((item, True))
+            if isinstance(item, BinaryOp):
+                todo.append((item.right, False))
+                todo.append((item.left, False))
+            else:
+                todo.append((item.operand if isinstance(item, Negate) else item.base, False))
+        elif isinstance(item, Negate):
+            values.append(-values.pop())
+        elif isinstance(item, Power):
+            base = values.pop()
+            values.append(RatFunc(base.num**item.exponent, base.den**item.exponent))
+        else:
+            right = values.pop()
+            left = values.pop()
+            values.append(_binary(item, left, right))
+    return values[0]
+
+
+def _binary(node: BinaryOp, left: RatFunc, right: RatFunc) -> RatFunc:
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if right.is_zero:
+        raise EvalError("division by an expression that is zero", node.offset)
+    return left / right
 
 
 def parse_ratfunc(text: str) -> RatFunc:

@@ -1,4 +1,5 @@
-"""Integer helpers: primality, factorization, bounded divisor enumeration.
+"""Integer helpers: primality, factorization, bounded divisor enumeration,
+and the stream of word-sized primes for modular gcds.
 
 Everything here is exact integer arithmetic.  Factorization uses trial
 division for small factors and Brent's cycle-finding variant of Pollard's
@@ -131,20 +132,31 @@ def divisors_up_to(n: int, bound: int) -> list[int]:
     return out
 
 
-def primes_for_crt() -> "PrimeStream":
-    return PrimeStream(start=(1 << 61) - 1)
+# The 64 largest primes below 2^61, as 2^61 - d, descending.
+CRT_PRIMES = tuple((1 << 61) - d for d in (
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819,
+    829, 843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425, 1489, 1525,
+    1533, 1543, 1609, 1621, 1669, 1741, 1753, 1813, 1845, 1849, 1855, 1863, 1869, 1909, 1921, 1923,
+    1945, 1959, 2023, 2083, 2115, 2133, 2185, 2371, 2373, 2383, 2385, 2401, 2539, 2551, 2595, 2605,
+))
 
 
 class PrimeStream:
-    """Descending stream of primes below a starting point, cached per instance."""
+    """Descending primes below 2^61: CRT_PRIMES first, then found by a
+    Miller-Rabin search below the last table entry."""
 
-    def __init__(self, start: int):
-        self._next_candidate = start if start % 2 == 1 else start - 1
+    def __init__(self):
+        self._index = 0
+        self._next_candidate = CRT_PRIMES[-1] - 2
 
     def __iter__(self):
         return self
 
     def __next__(self) -> int:
+        i = self._index
+        if i < len(CRT_PRIMES):
+            self._index = i + 1
+            return CRT_PRIMES[i]
         c = self._next_candidate
         while not is_probable_prime(c):
             c -= 2

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the production code paths it is used
 to check: the resultant oracle is a Sylvester determinant, the gcd oracle
-is the classical monic remainder sequence, and dispersion is brute-forced
-by scanning shifts.
+is the classical monic remainder sequence, dispersion is brute-forced by
+scanning shifts, `FracPoly` is polynomial arithmetic on plain Fraction
+coefficient lists, and the gcd sequence is taken from its definition as
+one gcd of two full products per term.
 """
 
 from __future__ import annotations
@@ -11,9 +13,117 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from ratrec.dispersion import dispersion
+from ratrec.gcdseq import GcdLimit
 from ratrec.linalg import solve_exact
-from ratrec.polys import Poly, RatFunc, divrem, exact_div, shift
+from ratrec.polys import Poly, RatFunc, divrem, exact_div, gcd_monic, shift
 from ratrec.recurrences import LinearRecurrence, SolutionSet
+
+
+class FracPoly:
+    """Dense polynomial over Q as a tuple of Fraction coefficients, ascending,
+    no trailing zero: the schoolbook arithmetic the integer core replaced."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FracPoly(out)
+
+    def __neg__(self):
+        return FracPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return FracPoly()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return FracPoly(out)
+
+    def __eq__(self, other):
+        return isinstance(other, FracPoly) and self.coeffs == other.coeffs
+
+    def monic(self):
+        return FracPoly([c / self.coeffs[-1] for c in self.coeffs])
+
+    def shift(self, k):
+        """self(n + k), by expanding the powers of (n + k)."""
+        out = FracPoly()
+        power = FracPoly([1])
+        step = FracPoly([k, 1])
+        for c in self.coeffs:
+            out = out + power * FracPoly([c])
+            power = power * step
+        return out
+
+    def divrem(self, other):
+        rem = list(self.coeffs)
+        div = other.coeffs
+        if len(rem) < len(div):
+            return FracPoly(), self
+        quo = [Fraction(0)] * (len(rem) - len(div) + 1)
+        for pos in range(len(quo) - 1, -1, -1):
+            c = rem[pos + len(div) - 1] / div[-1]
+            quo[pos] = c
+            for i, d in enumerate(div):
+                rem[pos + i] -= c * d
+        return FracPoly(quo), FracPoly(rem[: len(div) - 1])
+
+    def gcd(self, other):
+        """Monic gcd by the Euclidean remainder sequence."""
+        a, b = self, other
+        while b.coeffs:
+            a, b = b, a.divrem(b)[1]
+        return a.monic()
+
+
+def gcd_limit_by_products(p0: Poly, pd: Poly, d: int) -> GcdLimit:
+    """The gcd sequence by definition: G_k = gcd of the two k-fold products."""
+    n_max = dispersion(shift(pd, -d), p0).value
+    if n_max < 0:
+        return GcdLimit(-1, Poly.one(), ())
+    trace = []
+    rising = Poly.one()
+    falling = Poly.one()
+    for j in range(n_max + 1):
+        rising = rising * shift(p0, j)
+        falling = falling * shift(pd, -d - j)
+        trace.append(gcd_monic(rising, falling))
+    return GcdLimit(n_max, trace[-1], tuple(trace))
+
+
+def reduction_at_every_shift(lead: Poly, trail: Poly, shifts) -> tuple[list[Poly], Poly, Poly]:
+    """The extraction loop shared by Abramov's and the GP reduction, taking
+    a gcd at every shift: (step gcds, lead residual, trail residual)."""
+    steps = []
+    for i in shifts:
+        g = gcd_monic(lead, shift(trail, i))
+        steps.append(g)
+        if g.degree > 0:
+            lead = exact_div(lead, g)
+            trail = exact_div(trail, shift(g, -i))
+    return steps, lead, trail
 
 
 def det_exact(matrix: list[list[Fraction]]) -> Fraction:

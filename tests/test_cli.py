@@ -3,6 +3,7 @@
 import json
 
 from ratrec.cli import main
+from ratrec.expressions import MAX_NESTING
 
 EX41_COEFFS = [
     "(-(n-1)*(2*n-1)*(n+1))",
@@ -41,6 +42,16 @@ class TestDispersionCommand:
         code, _, err = run(capsys, "dispersion", "n-n", "n")
         assert code == 2
         assert "error" in err
+
+    def test_deep_nesting_is_an_input_error(self, capsys):
+        deep = "(" * 3000 + "n" + ")" * 3000
+        code, _, err = run(capsys, "dispersion", deep, "n+1")
+        assert code == 2
+        assert "nest deeper" in err
+        code, payload, _ = run_json(capsys, "dispersion", deep, "n+1")
+        assert code == 2
+        assert payload["status"] == "error"
+        assert payload["result"]["offset"] == MAX_NESTING
 
 
 class TestDenominatorCommand:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ratrec.expressions import (
+    MAX_NESTING,
     EvalError,
     ParseError,
     format_value,
@@ -62,6 +63,22 @@ class TestParse:
         assert parse_ratfunc("3/4*n") == RatFunc.reduced(3 * N, Poly.const(4))
         assert parse_poly("-n^2") == -(N**2)
         assert parse_poly("2^3") == Poly.const(8)
+
+    def test_nesting_limit(self):
+        at_limit = "(" * MAX_NESTING + "n" + ")" * MAX_NESTING
+        assert parse_poly(at_limit) == N
+        assert parse_poly("(" + "-" * (MAX_NESTING - 1) + "n)") == -N
+        with pytest.raises(ParseError) as err:
+            parse("(" + at_limit + ")")
+        assert err.value.offset == MAX_NESTING
+        with pytest.raises(ParseError) as err:
+            parse("-" * (MAX_NESTING + 1) + "n")
+        assert err.value.offset == MAX_NESTING
+
+    def test_long_operator_chains_evaluate(self):
+        # a flat chain is a left-deep tree as deep as it is long
+        assert parse_poly("+".join(["n"] * 3000)) == 3000 * N
+        assert parse_poly("*".join(["2"] * 300)) == Poly.const(2**300)
 
     def test_whitespace_ignored(self):
         assert parse_poly(" n +  1/4 ") == N + Fraction(1, 4)
