@@ -23,9 +23,7 @@ from .dispersion import DispersionResult, dispersion, integer_roots, resultant
 from .expressions import (
     EvalError,
     ParseError,
-    eval_to_ratfunc,
     format_value,
-    parse,
     parse_poly,
     parse_ratfunc,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "delta_coeffs",
     "dispersion",
     "divrem",
-    "eval_to_ratfunc",
     "exact_div",
     "falling_product",
     "format_value",
@@ -91,7 +88,6 @@ __all__ = [
     "gp_reduce",
     "gp_rep_from_trace",
     "integer_roots",
-    "parse",
     "parse_poly",
     "parse_ratfunc",
     "poly_solutions",

@@ -2,7 +2,9 @@
 
 Commands: dispersion, denominator, gosper, gp-rep, ratsolve, verify.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
-1 for "no solution" / failed-verification outcomes, 2 on input errors.
+1 for "no solution" / failed-verification outcomes, 2 on input errors,
+3 when any other exception escapes a command (a fault in ratrec; its
+traceback goes to stderr).
 With --json, stdout carries a single envelope
 {"status": "ok"|"no_solution"|"error", "command": ..., "result": ...}.
 """
@@ -10,8 +12,10 @@ With --json, stdout carries a single envelope
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import traceback
 
 from .denominators import abramov_reduce, check_gosper_rep, check_gp_rep, gp_rep_from_trace, gp_reduce
 from .dispersion import dispersion
@@ -85,26 +89,14 @@ def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
     pd = _nonzero_poly(leading_text, "leading coefficient")
     if args.order < 1:
         raise _CommandError("--order must be at least 1")
-    payload: dict = {"order": args.order, "method": args.method}
-    lines: list[str] = []
     if args.method == "explicit":
-        trace = gcd_limit(p0, pd, args.order)
-        denominator = trace.limit
-        payload["max_shift"] = trace.max_shift
-        if args.verbose:
-            payload["trace"] = [_poly_json(g) for g in trace.trace]
-            lines.append(f"max shift = {trace.max_shift}")
-            for i, g in enumerate(trace.trace, start=1):
-                lines.append(f"gcd sequence [{i}]: {g}")
+        result = gcd_limit(p0, pd, args.order)
+        denominator, steps = result.limit, result.trace
+        labels = [f"gcd sequence [{i}]" for i in range(1, len(steps) + 1)]
     elif args.method == "abramov":
-        reduction = abramov_reduce(p0, pd, args.order)
-        denominator = reduction.denominator
-        payload["max_shift"] = reduction.max_shift
-        if args.verbose:
-            payload["trace"] = [_poly_json(g) for g in reduction.step_gcds]
-            lines.append(f"max shift = {reduction.max_shift}")
-            for i, g in zip(range(reduction.max_shift, -1, -1), reduction.step_gcds):
-                lines.append(f"extracted at shift {i}: {g}")
+        result = abramov_reduce(p0, pd, args.order)
+        denominator, steps = result.denominator, result.step_gcds
+        labels = [f"extracted at shift {i}" for i in range(result.max_shift, -1, -1)]
     else:  # gp
         if args.order != 1:
             raise _CommandError("--method gp applies only to --order 1")
@@ -112,16 +104,16 @@ def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
         g = gcd_monic(num, den)
         if g.degree > 0:
             num, den = exact_div(num, g), exact_div(den, g)
-        reduction = gp_reduce(num, den)
-        denominator = reduction.denominator
-        payload["max_shift"] = reduction.max_shift
-        if args.verbose:
-            payload["trace"] = [_poly_json(g) for g in reduction.step_gcds]
-            lines.append(f"max shift = {reduction.max_shift}")
-            for i, g in enumerate(reduction.step_gcds, start=1):
-                lines.append(f"extracted at shift {i}: {g}")
+        result = gp_reduce(num, den)
+        denominator, steps = result.denominator, result.step_gcds
+        labels = [f"extracted at shift {i}" for i in range(1, len(steps) + 1)]
+    payload: dict = {"order": args.order, "method": args.method, "max_shift": result.max_shift}
+    lines = [f"denominator = {denominator}"]
+    if args.verbose:
+        payload["trace"] = [_poly_json(g) for g in steps]
+        lines.append(f"max shift = {result.max_shift}")
+        lines.extend(f"{label}: {g}" for label, g in zip(labels, steps))
     payload["denominator"] = _poly_json(denominator)
-    lines.insert(0, f"denominator = {denominator}")
     return 0, payload, lines
 
 
@@ -181,16 +173,13 @@ def _cmd_gp_rep(args) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
-def _parse_recurrence(args) -> LinearRecurrence:
-    if args.file is not None:
-        lines = _file_lines(args.file)
-        if len(lines) < 3:
-            raise _CommandError("--file needs at least 3 lines: trailing..leading coefficients, then the right-hand side")
-        coeff_texts, rhs_text = lines[:-1], lines[-1]
-    else:
-        if args.coeffs is None:
-            raise _CommandError("missing --coeffs (or use --file)")
-        coeff_texts, rhs_text = args.coeffs, args.rhs
+def _coeffs_option(args) -> list[str]:
+    if args.coeffs is None:
+        raise _CommandError("missing --coeffs (or use --file)")
+    return args.coeffs
+
+
+def _parse_recurrence(coeff_texts: list[str], rhs_text: str) -> LinearRecurrence:
     if len(coeff_texts) < 2:
         raise _CommandError("a recurrence needs at least two coefficients (order >= 1)")
     coeffs = tuple(parse_poly(t) for t in coeff_texts)
@@ -200,7 +189,14 @@ def _parse_recurrence(args) -> LinearRecurrence:
 
 
 def _cmd_ratsolve(args) -> tuple[int, dict, list[str]]:
-    rec = _parse_recurrence(args)
+    if args.file is not None:
+        lines = _file_lines(args.file)
+        if len(lines) < 3:
+            raise _CommandError("--file needs at least 3 lines: trailing..leading coefficients, then the right-hand side")
+        coeff_texts, rhs_text = lines[:-1], lines[-1]
+    else:
+        coeff_texts, rhs_text = _coeffs_option(args), args.rhs
+    rec = _parse_recurrence(coeff_texts, rhs_text)
     result = rational_solve(rec)
     numerators = result.numerators
     payload = {
@@ -249,14 +245,12 @@ def _cmd_verify_ratsolve(args) -> tuple[int, dict, list[str]]:
             raise _CommandError(
                 "--file needs at least 4 lines: coefficients, right-hand side, then the candidate solution"
             )
-        solution_text = lines[-1]
-        args.file = None
-        args.coeffs, args.rhs = lines[:-2], lines[-2]
+        coeff_texts, rhs_text, solution_text = lines[:-2], lines[-2], lines[-1]
     else:
         if args.solution is None:
             raise _CommandError("missing --solution (or use --file)")
-        solution_text = args.solution
-    rec = _parse_recurrence(args)
+        coeff_texts, rhs_text, solution_text = _coeffs_option(args), args.rhs, args.solution
+    rec = _parse_recurrence(coeff_texts, rhs_text)
     ok = verify_rational(rec, parse_ratfunc(solution_text))
     payload = {"verified": ok}
     return (0 if ok else 1), payload, [f"verified: {'true' if ok else 'false'}"]
@@ -268,7 +262,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--file", help="read the input expressions from a file, one per line")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ratrec",
         description="Exact Gosper summation and rational solutions of linear difference equations.",
@@ -324,6 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(args, command: str, message: str, offset: int | None, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    if args.json:
+        envelope = {"status": "error", "command": command, "result": {"message": message}}
+        if offset is not None:
+            envelope["result"]["offset"] = offset
+        print(json.dumps(envelope))
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -335,14 +341,10 @@ def main(argv: list[str] | None = None) -> int:
         code, payload, lines = args.handler(args)
     except (_CommandError, ParseError, EvalError, ValueError, ZeroDivisionError, OSError) as exc:
         message = getattr(exc, "message", None) or str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        if args.json:
-            envelope = {"status": "error", "command": command, "result": {"message": message}}
-            offset = getattr(exc, "offset", None)
-            if offset is not None:
-                envelope["result"]["offset"] = offset
-            print(json.dumps(envelope))
-        return 2
+        return _report_error(args, command, message, getattr(exc, "offset", None), 2)
+    except Exception as exc:  # a fault in ratrec itself, not in the input
+        traceback.print_exc()
+        return _report_error(args, command, f"internal error: {type(exc).__name__}: {exc}", None, 3)
     if args.json:
         status = "ok" if code == 0 else "no_solution"
         print(json.dumps({"status": status, "command": command, "result": payload}))

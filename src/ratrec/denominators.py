@@ -165,7 +165,6 @@ def gosper_rep_from_abramov(a: Poly, b: Poly) -> GosperRep:
 
 def gp_rep_from_trace(a: Poly, b: Poly) -> GosperRep:
     """The GP representation of a/b, from the GP reduction residuals."""
-    _require_coprime(a, b)
     trace = gp_reduce(a, b)
     return _normalized_rep(
         RatFunc.reduced(a, b),

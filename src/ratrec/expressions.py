@@ -10,16 +10,18 @@ Grammar (whitespace is skipped; implicit multiplication is not allowed):
 '^' binds tightest and takes a bare nonnegative integer literal exponent.
 Parentheses and unary minus signs nest at most MAX_NESTING levels deep;
 deeper input is a ParseError at the offending token.
-Parsing yields a small AST; evaluation folds it into an exact reduced
-rational function of n.  Formatting writes polynomials in descending
-powers with rational coefficients, and the output parses back to the same
-value.
+The parser evaluates as it reads: each rule returns an exact reduced
+rational function of n, and the '+ -' and '* /' loops fold their operands
+from the left, so a long flat chain needs no deep recursion.  A character
+outside the grammar is reported first, wherever it is; otherwise the
+leftmost fault is reported, a ParseError or an EvalError for division by
+zero.  Formatting writes polynomials in descending powers with rational
+coefficients, and the output parses back to the same value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .polys import Poly, RatFunc
 from .recurrences import SolutionSet
@@ -40,40 +42,6 @@ class EvalError(ValueError):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
-
-@dataclass(frozen=True)
-class Number:
-    value: int
-    offset: int
-
-
-@dataclass(frozen=True)
-class Variable:
-    offset: int
-
-
-@dataclass(frozen=True)
-class Negate:
-    operand: "Expr"
-    offset: int
-
-
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
-    offset: int
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Expr"
-    exponent: int
-    offset: int
-
-
-Expr = Union[Number, Variable, Negate, BinaryOp, Power]
 
 _OPERATOR_CHARS = "+-*/^()"
 
@@ -137,38 +105,45 @@ class _Parser:
             raise ParseError(f"expected {kind!r}", self.current.offset)
         return self.advance()
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> RatFunc:
+        value = self.term()
         while self.current.kind in ("+", "-"):
             op = self.advance()
-            node = BinaryOp(op.kind, node, self.term(), op.offset)
-        return node
+            right = self.term()
+            value = value + right if op.kind == "+" else value - right
+        return value
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> RatFunc:
+        value = self.factor()
         while self.current.kind in ("*", "/"):
             op = self.advance()
-            node = BinaryOp(op.kind, node, self.factor(), op.offset)
-        return node
+            right = self.factor()
+            if op.kind == "*":
+                value = value * right
+            elif right.is_zero:
+                raise EvalError("division by an expression that is zero", op.offset)
+            else:
+                value = value / right
+        return value
 
-    def factor(self) -> Expr:
-        node = self.base()
+    def factor(self) -> RatFunc:
+        value = self.base()
         if self.current.kind == "^":
-            op = self.advance()
+            self.advance()
             if self.current.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", self.current.offset)
-            exponent = self.advance()
-            node = Power(node, int(exponent.text), op.offset)
-        return node
+            exponent = int(self.advance().text)
+            value = RatFunc(value.num**exponent, value.den**exponent)
+        return value
 
-    def base(self) -> Expr:
+    def base(self) -> RatFunc:
         tok = self.current
         if tok.kind == "int":
             self.advance()
-            return Number(int(tok.text), tok.offset)
+            return RatFunc.from_poly(Poly.const(int(tok.text)))
         if tok.kind == "n":
             self.advance()
-            return Variable(tok.offset)
+            return RatFunc.from_poly(Poly.variable())
         if tok.kind not in ("(", "-"):
             raise ParseError("expected a number, 'n', '(' or '-'", tok.offset)
         if self.depth == MAX_NESTING:
@@ -176,72 +151,24 @@ class _Parser:
         self.advance()
         self.depth += 1
         if tok.kind == "(":
-            node = self.expr()
+            value = self.expr()
             self.expect(")")
         else:
-            node = Negate(self.factor(), tok.offset)
+            value = -self.factor()
         self.depth -= 1
-        return node
-
-
-def parse(text: str) -> Expr:
-    """Parse an expression; raises ParseError with a byte offset."""
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    if parser.current.kind != "end":
-        raise ParseError("unexpected trailing input", parser.current.offset)
-    return node
-
-
-def eval_to_ratfunc(node: Expr) -> RatFunc:
-    """Exact evaluation of a parsed expression into a reduced RatFunc.
-
-    Walks the tree with an explicit stack, so a long chain of operators
-    (a left-deep tree) needs no deep recursion.
-    """
-    values: list[RatFunc] = []
-    todo: list[tuple[Expr, bool]] = [(node, False)]
-    while todo:
-        item, children_done = todo.pop()
-        if isinstance(item, Number):
-            values.append(RatFunc.from_poly(Poly.const(item.value)))
-        elif isinstance(item, Variable):
-            values.append(RatFunc.from_poly(Poly.variable()))
-        elif not isinstance(item, (Negate, Power, BinaryOp)):
-            raise TypeError(f"not an expression node: {item!r}")
-        elif not children_done:
-            todo.append((item, True))
-            if isinstance(item, BinaryOp):
-                todo.append((item.right, False))
-                todo.append((item.left, False))
-            else:
-                todo.append((item.operand if isinstance(item, Negate) else item.base, False))
-        elif isinstance(item, Negate):
-            values.append(-values.pop())
-        elif isinstance(item, Power):
-            base = values.pop()
-            values.append(RatFunc(base.num**item.exponent, base.den**item.exponent))
-        else:
-            right = values.pop()
-            left = values.pop()
-            values.append(_binary(item, left, right))
-    return values[0]
-
-
-def _binary(node: BinaryOp, left: RatFunc, right: RatFunc) -> RatFunc:
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if right.is_zero:
-        raise EvalError("division by an expression that is zero", node.offset)
-    return left / right
+        return value
 
 
 def parse_ratfunc(text: str) -> RatFunc:
-    return eval_to_ratfunc(parse(text))
+    """Parse and evaluate an expression into an exact reduced RatFunc.
+
+    Raises ParseError or EvalError with the byte offset of the fault.
+    """
+    parser = _Parser(_tokenize(text))
+    value = parser.expr()
+    if parser.current.kind != "end":
+        raise ParseError("unexpected trailing input", parser.current.offset)
+    return value
 
 
 def parse_poly(text: str) -> Poly:

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, JSON envelopes."""
 
+import argparse
 import json
 
-from ratrec.cli import main
+import ratrec.cli
+from ratrec.cli import build_parser, main
 from ratrec.expressions import MAX_NESTING
 
 EX41_COEFFS = [
@@ -249,3 +251,57 @@ class TestUsageErrors:
 
     def test_missing_order(self, capsys):
         assert run(capsys, "denominator", "n", "n")[0] == 2
+
+
+class TestRepeatedCalls:
+    ARGVS = [
+        ("denominator", "--order", "1", "--method", "abramov", "(n+1)*(n+2)", "n+3", "--verbose"),
+        ("gosper", "(4*n+5)/(2*(4*n+1)*(2*n+3))", "--json"),
+        ("denominator", "--order", "1", "(n+1)*(n+2)", "n+3"),
+        ("ratsolve", "--coeffs", "(-1)", "n+1", "--rhs", "1"),
+        ("ratsolve", "--coeffs", *EX41_COEFFS, "--json"),
+        ("verify", "ratsolve", "--coeffs", *EX41_COEFFS, "--solution", "(2*n-3)/(n^2-1)"),
+        ("gosper", "n/(n", "--json"),
+        ("frobnicate",),
+        ("dispersion", "n+2", "(n+1)*(n+2)", "--verbose"),
+        ("dispersion", "n+2", "(n+1)*(n+2)"),
+    ]
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        run(capsys, "gosper", "(n+1)/(n+3)")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "gosper", "(n+1)/(n+3)", "--json")[0] == 0
+        assert built == []
+
+    def test_consecutive_calls_match_fresh_calls(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        consecutive = [run(capsys, *argv) for argv in self.ARGVS]
+        assert consecutive == fresh
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        def broken(ratio):
+            raise RuntimeError("inexact division")
+
+        monkeypatch.setattr(ratrec.cli, "gosper", broken)
+        code, payload, err = run_json(capsys, "gosper", "(n+1)/(n+3)")
+        assert code == 3
+        assert payload["status"] == "error"
+        assert payload["command"] == "gosper"
+        assert payload["result"]["message"] == "internal error: RuntimeError: inexact division"
+        assert "Traceback" in err
+        code, out, err = run(capsys, "gosper", "(n+1)/(n+3)")
+        assert code == 3
+        assert out == ""
+        assert "error: internal error: RuntimeError: inexact division" in err

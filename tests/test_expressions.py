@@ -10,7 +10,6 @@ from ratrec.expressions import (
     EvalError,
     ParseError,
     format_value,
-    parse,
     parse_poly,
     parse_ratfunc,
 )
@@ -32,31 +31,31 @@ class TestParse:
 
     def test_unbalanced_paren_offset(self):
         with pytest.raises(ParseError) as err:
-            parse("n/(n")
+            parse_ratfunc("n/(n")
         assert err.value.offset == 4
 
     def test_unknown_character_offset(self):
         with pytest.raises(ParseError) as err:
-            parse("n + x")
+            parse_ratfunc("n + x")
         assert err.value.offset == 4
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
-            parse("n n")
+            parse_ratfunc("n n")
 
     def test_exponent_must_be_literal(self):
         with pytest.raises(ParseError):
-            parse("n^n")
+            parse_ratfunc("n^n")
         with pytest.raises(ParseError):
-            parse("n^(2)")
+            parse_ratfunc("n^(2)")
         with pytest.raises(ParseError):
-            parse("n^-1")
+            parse_ratfunc("n^-1")
 
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
-            parse("2n")
+            parse_ratfunc("2n")
         with pytest.raises(ParseError):
-            parse("(n+1)(n+2)")
+            parse_ratfunc("(n+1)(n+2)")
 
     def test_precedence(self):
         assert parse_poly("1+2*n^2") == 2 * N**2 + 1
@@ -69,10 +68,10 @@ class TestParse:
         assert parse_poly(at_limit) == N
         assert parse_poly("(" + "-" * (MAX_NESTING - 1) + "n)") == -N
         with pytest.raises(ParseError) as err:
-            parse("(" + at_limit + ")")
+            parse_ratfunc("(" + at_limit + ")")
         assert err.value.offset == MAX_NESTING
         with pytest.raises(ParseError) as err:
-            parse("-" * (MAX_NESTING + 1) + "n")
+            parse_ratfunc("-" * (MAX_NESTING + 1) + "n")
         assert err.value.offset == MAX_NESTING
 
     def test_long_operator_chains_evaluate(self):
@@ -94,8 +93,15 @@ class TestEval:
         assert parse_ratfunc("(2*n+2)/(n+1)") == RatFunc.from_poly(Poly.const(2))
 
     def test_zero_denominator_reported(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError) as err:
             parse_ratfunc("1/(n-n)")
+        assert err.value.offset == 1
+
+    def test_leftmost_fault_is_reported(self):
+        # the division by zero at offset 1 comes before the stray ')' at offset 7
+        with pytest.raises(EvalError) as err:
+            parse_ratfunc("1/(n-n))")
+        assert err.value.offset == 1
 
     def test_poly_required(self):
         with pytest.raises(ParseError):
