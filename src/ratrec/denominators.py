@@ -137,6 +137,13 @@ def gp_reduce(a: Poly, b: Poly) -> GPTrace:
     return GPTrace(n_max, tuple(steps), num, den, denominator)
 
 
+def _coprime_ratio(a: Poly, b: Poly) -> RatFunc:
+    """a/b as a RatFunc for a pair already known to be coprime: only the
+    denominator is made monic, with no second gcd."""
+    lc = b.lc
+    return RatFunc(a, b) if lc == 1 else RatFunc(a / lc, b / lc)
+
+
 def _normalized_rep(ratio: RatFunc, num_factor: Poly, den_factor: Poly, shift_factor: Poly) -> GosperRep:
     lc = den_factor.lc
     if lc != 1:
@@ -156,7 +163,7 @@ def gosper_rep_from_abramov(a: Poly, b: Poly) -> GosperRep:
     _require_coprime(a, b)
     trace = abramov_reduce(b, a, 1)
     return _normalized_rep(
-        RatFunc.reduced(a, b),
+        _coprime_ratio(a, b),
         shift(trace.lead_residual, 1),
         trace.trail_residual,
         trace.denominator,
@@ -167,7 +174,7 @@ def gp_rep_from_trace(a: Poly, b: Poly) -> GosperRep:
     """The GP representation of a/b, from the GP reduction residuals."""
     trace = gp_reduce(a, b)
     return _normalized_rep(
-        RatFunc.reduced(a, b),
+        _coprime_ratio(a, b),
         trace.num_residual,
         trace.den_residual,
         trace.denominator,

@@ -1,10 +1,13 @@
-"""Integer helpers: primality, factorization, bounded divisor enumeration,
-and the stream of word-sized primes for modular gcds.
+"""Integer helpers: a Miller-Rabin primality test and the stream of
+word-sized primes for modular gcds.
 
-Everything here is exact integer arithmetic.  Factorization uses trial
-division for small factors and Brent's cycle-finding variant of Pollard's
-rho for the rest, which comfortably handles the resultant-sized trailing
-coefficients that show up in integer-root extraction.
+The primality test picks the small primes that integer roots and
+dispersions are found modulo, and continues the prime stream past its
+fixed table.  `factorize` (trial division, then Brent's variant of
+Pollard's rho) has no caller in the package: integer roots are found
+modulo a prime, with no divisor enumeration.  It stays only because the
+benchmark's tracer, `perfbench/tracer.py`, looks `factorize` up by name
+when it installs; it goes once that span is retired there.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import math
 
 # Deterministic Miller-Rabin witnesses for n < 3,317,044,064,679,887,385,961,981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Extra fixed witnesses for larger inputs; failure odds are below 4**-20.
+# Extra fixed witnesses for larger inputs, where the test is probabilistic;
+# failure odds are below 4**-20.
 _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -42,6 +46,10 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# `_brent_rho` and `factorize` serve only the benchmark tracer's lookup of
+# `factorize` by name (see the module docstring).
 
 
 def _brent_rho(n: int) -> int:
@@ -104,32 +112,6 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(f)
         stack.append(m // f)
     return factors
-
-
-def divisors_up_to(n: int, bound: int) -> list[int]:
-    """All positive divisors of n that are <= bound, ascending."""
-    if n < 1:
-        raise ValueError("divisors_up_to expects a positive integer")
-    if bound < 1:
-        return []
-    primes = list(factorize(n).items())
-    out: list[int] = []
-
-    def walk(idx: int, value: int) -> None:
-        if idx == len(primes):
-            out.append(value)
-            return
-        p, e = primes[idx]
-        v = value
-        for _ in range(e + 1):
-            walk(idx + 1, v)
-            if v > bound // p:
-                break
-            v *= p
-
-    walk(0, 1)
-    out.sort()
-    return out
 
 
 # The 64 largest primes below 2^61, as 2^61 - d, descending.

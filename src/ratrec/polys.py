@@ -484,6 +484,22 @@ def falling_product(f: Poly, k: int) -> Poly:
 # -- gcd ----------------------------------------------------------------
 
 
+def _gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
+    """f mod g over GF(p), for lists of residues with no trailing zero and
+    g nonempty; f is reduced in place and returned."""
+    inv = pow(g[-1], -1, p)
+    low = [x * inv % p for x in g[:-1]]
+    dg = len(low)
+    while len(f) > dg:
+        c = f.pop()
+        if c:
+            off = len(f) - dg
+            f[off:] = [(x - c * y) % p for x, y in zip(f[off:], low)]
+        while f and f[-1] == 0:
+            f.pop()
+    return f
+
+
 def _gf_gcd(a: "tuple[int, ...] | list[int]", b: "tuple[int, ...] | list[int]", p: int) -> list[int]:
     """Monic gcd of two integer-coefficient polys over GF(p); [] if either is 0 mod p."""
 
@@ -497,19 +513,7 @@ def _gf_gcd(a: "tuple[int, ...] | list[int]", b: "tuple[int, ...] | list[int]", 
     if not f or not g:
         return []
     while g:
-        # f mod g over GF(p), with g made monic first
-        inv = pow(g[-1], -1, p)
-        low = [x * inv % p for x in g[:-1]]
-        dg = len(low)
-        r = f
-        while len(r) > dg:
-            c = r.pop()
-            if c:
-                off = len(r) - dg
-                r[off:] = [(x - c * y) % p for x, y in zip(r[off:], low)]
-            while r and r[-1] == 0:
-                r.pop()
-        f, g = g, r
+        f, g = g, _gf_rem(f, g, p)
     inv = pow(f[-1], -1, p)
     return [x * inv % p for x in f]
 

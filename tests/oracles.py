@@ -5,7 +5,10 @@ to check: the resultant oracle is a Sylvester determinant, the gcd oracle
 is the classical monic remainder sequence, dispersion is brute-forced by
 scanning shifts, `FracPoly` is polynomial arithmetic on plain Fraction
 coefficient lists, and the gcd sequence is taken from its definition as
-one gcd of two full products per term.
+one gcd of two full products per term.  `integer_roots_by_divisors` and
+`dispersion_by_divisors` are the integer-root search the modular one
+replaced: a Fraction shift resultant interpolated over Q, and the divisors
+of its trailing coefficient tested as roots.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ratrec.dispersion import dispersion
+from ratrec.dispersion import DispersionResult, dispersion, resultant
 from ratrec.gcdseq import GcdLimit
+from ratrec.intutil import factorize
 from ratrec.linalg import solve_exact
 from ratrec.polys import Poly, RatFunc, divrem, exact_div, gcd_monic, shift
 from ratrec.recurrences import LinearRecurrence, SolutionSet
@@ -180,6 +184,100 @@ def brute_dispersion(a: Poly, b: Poly, kmax: int = 30) -> int:
         if monic_ers_gcd(a, shift(b, k)).degree >= 1:
             best = k
     return best
+
+
+def divisors_up_to(n: int, bound: int) -> list[int]:
+    """All positive divisors of n that are <= bound, ascending."""
+    if n < 1:
+        raise ValueError("divisors_up_to expects a positive integer")
+    if bound < 1:
+        return []
+    primes = list(factorize(n).items())
+    out: list[int] = []
+
+    def walk(idx: int, value: int) -> None:
+        if idx == len(primes):
+            out.append(value)
+            return
+        p, e = primes[idx]
+        v = value
+        for _ in range(e + 1):
+            walk(idx + 1, v)
+            if v > bound // p:
+                break
+            v *= p
+
+    walk(0, 1)
+    out.sort()
+    return out
+
+
+def integer_roots_by_divisors(p: Poly) -> set[int]:
+    """All integer roots of a nonzero polynomial, from the divisors of the
+    trailing coefficient of its primitive part that lie within the Cauchy
+    bound, filtered by p(1) and p(-1) and tested by evaluation."""
+    ints = p.primitive
+    low = 0
+    while ints[low] == 0:
+        low += 1
+    roots: set[int] = {0} if low > 0 else set()
+    ints = ints[low:]
+    if len(ints) == 1:
+        return roots
+
+    def value_at(x: int) -> int:
+        acc = 0
+        for c in reversed(ints):
+            acc = acc * x + c
+        return acc
+
+    # any integer root r satisfies |r| <= bound, r | ints[0],
+    # (r - 1) | p(1) and (r + 1) | p(-1)
+    bound = 1 + max(abs(c) for c in ints[:-1]) // abs(ints[-1])
+    at_one = value_at(1)
+    at_minus_one = value_at(-1)
+    for d in divisors_up_to(abs(ints[0]), bound):
+        for r in (d, -d):
+            if r != 1 and at_one % (r - 1) != 0:
+                continue
+            if r != -1 and at_minus_one % (r + 1) != 0:
+                continue
+            if value_at(r) == 0:
+                roots.add(r)
+    return roots
+
+
+def interpolate_over_q(points: list[tuple[int, Fraction]]) -> Poly:
+    """Newton-form interpolation over Q through distinct integer abscissae."""
+    xs = [Fraction(x) for x, _ in points]
+    divided = [y for _, y in points]
+    for level in range(1, len(points)):
+        for i in range(len(points) - 1, level - 1, -1):
+            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
+    result = Poly.zero()
+    basis = Poly.one()
+    for i, coefficient in enumerate(divided):
+        result = result + basis * coefficient
+        basis = basis * Poly((-xs[i], 1))
+    return result
+
+
+def dispersion_by_divisors(a: Poly, b: Poly) -> DispersionResult:
+    """Dispersion from the integer roots of the shift resultant R(h), which
+    is interpolated over Q from Fraction resultants at h = 0..deg a deg b."""
+    if a.degree == 0 or b.degree == 0:
+        return DispersionResult(-1, ())
+    count = int(a.degree * b.degree) + 1
+    shift_resultant = interpolate_over_q([(h, resultant(a, shift(b, h))) for h in range(count)])
+    witnesses = []
+    for k in sorted(integer_roots_by_divisors(shift_resultant)):
+        if k < 0:
+            continue
+        g = gcd_monic(a, shift(b, k))
+        if g.degree >= 1:
+            witnesses.append((k, g))
+    value = witnesses[-1][0] if witnesses else -1
+    return DispersionResult(value, tuple(witnesses))
 
 
 def divides(small: Poly, big: Poly) -> bool:

@@ -172,6 +172,25 @@ class TestRepresentations:
         with pytest.raises(ValueError):
             gosper_rep_from_abramov(N * (N + 1), N)
 
+    @pytest.mark.parametrize("build", [gosper_rep_from_abramov, gp_rep_from_trace])
+    def test_input_pair_gcd_taken_once(self, build, monkeypatch):
+        import ratrec.denominators
+        import ratrec.polys
+
+        calls = []
+
+        def counted(x, y):
+            calls.append({x, y})
+            return gcd_monic(x, y)
+
+        monkeypatch.setattr(ratrec.denominators, "gcd_monic", counted)
+        monkeypatch.setattr(ratrec.polys, "gcd_monic", counted)
+        for a, b in ((N + 3, (N + 1) * (N + 2)), (2 * (N + 3), 3 * (N + 1) * (N + 2))):
+            calls.clear()
+            rep = build(a, b)
+            assert calls.count({a, b}) == 1
+            assert rep.ratio == RatFunc.reduced(a, b)
+
 
 class TestRepChecks:
     def test_failing_shift_reported(self):

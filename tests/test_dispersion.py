@@ -4,11 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from ratrec.dispersion import dispersion, integer_roots, resultant
+from ratrec.dispersion import _gf_shift_resultant, dispersion, integer_roots, resultant
 from ratrec.polys import Poly, gcd_monic, shift
 
-from oracles import brute_dispersion, rand_poly, rand_poly_int_roots, sylvester_resultant
+from oracles import (
+    brute_dispersion,
+    dispersion_by_divisors,
+    integer_roots_by_divisors,
+    rand_poly,
+    rand_poly_int_roots,
+    sylvester_resultant,
+)
 
 N = Poly.variable()
 
@@ -124,20 +133,19 @@ class TestDispersion:
                 assert gcd_monic(shift(b, k), g) == g
 
     def test_interpolated_resultant_extrapolates_correctly(self):
-        # the interpolated shift-resultant must agree with the Sylvester
-        # determinant even at shifts outside the sample window
-        from ratrec.dispersion import _interpolate
-
+        # the shift resultant interpolated mod p must agree with the Sylvester
+        # determinant mod p even at shifts outside the sample window
         rng = random.Random(36)
         for _ in range(10):
-            a = rand_poly(rng, 3)
-            b = rand_poly(rng, 3)
-            count = int(a.degree * b.degree) + 1
-            interpolated = _interpolate(
-                [(h, resultant(a, shift(b, h))) for h in range(count)]
-            )
-            for h in (-7, 23, 41):
-                assert interpolated(h) == sylvester_resultant(a, shift(b, h))
+            a = Poly(rand_poly(rng, 3).primitive)
+            b = Poly(rand_poly(rng, 3).primitive)
+            for prime in (11, 10007, 2**61 - 1):
+                if a.primitive[-1] % prime == 0 or b.primitive[-1] % prime == 0:
+                    continue
+                interpolated = _gf_shift_resultant(a.primitive, b.primitive, prime)
+                for h in (-7, 23, 41):
+                    value = sum(c * h**i for i, c in enumerate(interpolated))
+                    assert (value - sylvester_resultant(a, shift(b, h))) % prime == 0
 
     def test_matches_brute_force_scan(self):
         rng = random.Random(35)
@@ -147,3 +155,143 @@ class TestDispersion:
             if rng.random() < 0.3:
                 a = a * (N**2 + 1)
             assert dispersion(a, b).value == brute_dispersion(a, b)
+
+
+# -- the modular root search against the divisor search it replaced -----------
+
+near_roots = st.integers(-30, 30)
+far_roots = st.integers(-(10**4), 10**4).filter(lambda r: abs(r) > 30)
+
+
+@st.composite
+def root_factors(draw, max_degree=4, far=True):
+    """Integer roots with multiplicities, at most one of them far from 0,
+    and a factor with non-integer roots, of total degree at most max_degree.
+
+    The divisor search takes seconds once several far roots meet a factor
+    with non-integer roots, so far roots come one at a time.
+    """
+    factors = []
+    degree = 0
+    roots = [draw(far_roots)] if far and draw(st.booleans()) else []
+    for root in roots + draw(st.lists(near_roots, max_size=3)):
+        mult = draw(st.integers(1, 2))
+        if degree + mult > max_degree:
+            break
+        factors.append(Poly((-root, 1)) ** mult)
+        degree += mult
+    extra = draw(
+        st.sampled_from(
+            [
+                None,
+                Poly((1, 2)),  # root -1/2
+                Poly((-5, 3)),  # root 5/3
+                Poly((3, 0, 1)),  # roots +-sqrt(-3)
+                Poly((-2, 0, 1)),  # roots +-sqrt(2)
+                Poly((1, 1, 1)),  # complex cube roots of unity
+            ]
+        )
+    )
+    if extra is not None and degree + extra.degree <= max_degree:
+        factors.append(extra)
+    return factors
+
+
+def product(factors, scale=1):
+    out = Poly.const(scale)
+    for f in factors:
+        out = out * f
+    return out
+
+
+scales = st.sampled_from([1, -1, 2, -3, 6])
+
+
+@st.composite
+def root_polys(draw, max_degree=4):
+    return product(draw(root_factors(max_degree)), draw(scales))
+
+
+@st.composite
+def shifted_pairs(draw):
+    """(a, b) where b carries some factors of a shifted by up to 60, so the
+    dispersion and its witnesses are nontrivial."""
+    shared = draw(root_factors(max_degree=2))
+    a = product(shared + draw(root_factors(2, far=False)), draw(scales))
+    b_factors = [shift(f, -draw(st.integers(0, 60))) for f in shared if draw(st.booleans())]
+    b = product(b_factors + draw(root_factors(2, far=False)), draw(scales))
+    return a, b
+
+
+def first_candidate_prime(floor):
+    """The smallest prime above floor, by trial division."""
+    p = floor + 1
+    while any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        p += 1
+    return p
+
+
+def cauchy(p):
+    ints = p.primitive
+    return 1 + -(-max(abs(c) for c in ints[:-1]) // ints[-1])
+
+
+class TestAgainstDivisorSearch:
+    @given(root_polys())
+    def test_integer_roots(self, p):
+        assert integer_roots(p) == integer_roots_by_divisors(p)
+
+    @given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6).filter(bool))
+    def test_integer_roots_of_constant_and_linear_inputs(self, c, lead):
+        assert integer_roots(Poly.const(lead)) == set()
+        assert integer_roots(Poly((c, lead))) == integer_roots_by_divisors(Poly((c, lead)))
+
+    @given(shifted_pairs())
+    def test_dispersion_and_witnesses(self, pair):
+        a, b = pair
+        assert dispersion(a, b) == dispersion_by_divisors(a, b)
+
+    @given(root_polys(3), root_polys(3))
+    def test_dispersion_of_unrelated_pairs(self, a, b):
+        assert dispersion(a, b) == dispersion_by_divisors(a, b)
+
+    @given(st.integers(-(10**4), 10**4), st.integers(-(10**4), 10**4), st.integers(1, 9))
+    def test_dispersion_of_constant_and_linear_inputs(self, r, s, lead):
+        a, b = Poly((-r, lead)), Poly((-s, 1))
+        assert dispersion(a, b) == dispersion_by_divisors(a, b)
+        assert dispersion(a, Poly.const(lead)) == dispersion_by_divisors(a, Poly.const(lead))
+
+    @given(st.integers(1, 4), st.integers(-9, 9).filter(bool), st.integers(-30, 30), root_factors(max_degree=2))
+    def test_integer_roots_when_the_first_prime_divides_the_leading_coefficient(self, m, c, r, rest):
+        # f = (n - r)(q m n + c) * rest, with q the smallest prime above twice
+        # the Cauchy bound of f itself: the root search must pass over q
+        q, fixed = 3, False
+        for _ in range(6):
+            f = product([Poly((-r, 1)), Poly((c, q * m))] + rest)
+            bound_prime = first_candidate_prime(2 * cauchy(f))
+            fixed = bound_prime == q
+            if fixed:
+                break
+            q = bound_prime
+        assume(fixed and c % q != 0)
+        assert f.primitive[-1] % q == 0
+        assert integer_roots(f) == integer_roots_by_divisors(f)
+
+    @given(st.integers(1, 4), st.integers(-9, 9).filter(bool), st.integers(0, 40), root_factors(max_degree=2))
+    def test_dispersion_when_the_first_prime_divides_a_leading_coefficient(self, m, c, k, rest):
+        # a = (q m n + c) * rest and b = a's first factor shifted by -k, with q
+        # the smallest prime above max(2B, deg a deg b) for this very pair
+        q, fixed = 3, False
+        for _ in range(6):
+            linear = Poly((c, q * m))
+            a, b = product([linear] + rest), shift(linear, -k)
+            bound_prime = first_candidate_prime(max(2 * (cauchy(a) + cauchy(b)), int(a.degree * b.degree)))
+            fixed = bound_prime == q
+            if fixed:
+                break
+            q = bound_prime
+        assume(fixed and c % q != 0)
+        assert a.primitive[-1] % q == 0 and b.primitive[-1] % q == 0
+        result = dispersion(a, b)
+        assert result == dispersion_by_divisors(a, b)
+        assert result.value >= k

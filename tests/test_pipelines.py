@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ratrec.pipelines import gosper, rational_solve, verify_gosper, verify_rational
-from ratrec.polys import Poly, RatFunc, divrem
+from ratrec.polys import Poly, RatFunc, divrem, shift
 from ratrec.recurrences import LinearRecurrence
 
 from oracles import (
@@ -118,6 +118,30 @@ class TestRationalSolve:
         result = rational_solve(rec)
         assert result.numerators.particular is None
         assert result.particular is None
+
+    @pytest.mark.parametrize(
+        "a0, ad",
+        [
+            (7 * N**2 + 3 * N + 11, 5 * N**2 - 2 * N + 13),
+            ((3 * N + 7) * (N + 40), (2 * N - 9) * (N - 17)),
+        ],
+    )
+    def test_end_coefficients_with_non_integer_or_distant_roots(self, a0, ad):
+        # the shift resultant of the end coefficients has degree 49, and its
+        # trailing coefficient has too many divisors to search them; the
+        # planted solution f/g is the only rational solution
+        g = (N + 1) * (N + 3) * (N + 6) * (N + 10) * (N + 12)
+        f = N**2 + 1
+        ps = (a0, N**2 + 2, ad)
+        rhs = Poly.zero()
+        for m, p in enumerate(ps):
+            rhs = rhs + p * shift(f, m)
+        rec = LinearRecurrence(tuple(p * shift(g, m) for m, p in enumerate(ps)), rhs)
+        result = rational_solve(rec)
+        assert result.max_shift == 11
+        assert result.numerators.homogeneous_basis == ()
+        assert result.particular == RatFunc.reduced(f, g)
+        assert verify_rational(rec, result.particular)
 
     def test_zero_trailing_coefficient_rejected(self):
         with pytest.raises(ValueError):
