@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intutil import is_probable_prime
-from .polys import Poly, _gf_gcd, _gf_rem, divrem, gcd_monic, shift
+from .polys import Poly, _gf_gcd, _gf_monic_low, _gf_rem, _gf_rem_monic, divrem, gcd_monic, shift
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:
@@ -85,14 +85,15 @@ def _gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
 
 def _gf_powmod(c: int, e: int, m: list[int], p: int) -> list[int]:
     """(h + c)^e mod m over GF(p), for e >= 1 and m of degree >= 1."""
-    acc = _gf_rem([c % p, 1], m, p)
+    low = _gf_monic_low(m, p)
+    acc = _gf_rem_monic([c % p, 1], low, p)
     for bit in bin(e)[3:]:
         if not acc:
             break
-        acc = _gf_rem(_gf_mul(acc, acc, p), m, p)
+        acc = _gf_rem_monic(_gf_mul(acc, acc, p), low, p)
         if bit == "1" and acc:
             # times h + c
-            acc = _gf_rem([(x + c * y) % p for x, y in zip([0] + acc, acc + [0])], m, p)
+            acc = _gf_rem_monic([(x + c * y) % p for x, y in zip([0] + acc, acc + [0])], low, p)
     return acc
 
 

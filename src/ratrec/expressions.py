@@ -9,19 +9,29 @@ Grammar (whitespace is skipped; implicit multiplication is not allowed):
 
 '^' binds tightest and takes a bare nonnegative integer literal exponent.
 Parentheses and unary minus signs nest at most MAX_NESTING levels deep;
-deeper input is a ParseError at the offending token.
+deeper input is a ParseError at the offending token.  Values stay within
+MAX_DEGREE and MAX_COEFF_BITS, by an estimate of (degree, bits) that the
+parser carries with every value and checks at every operator: literals and
+n count exactly, '^e' multiplies the base's estimate by e, '*' and '/' add
+the operands' estimates, and '+' and '-' add them plus one bit.  '^', '*'
+and '/' check before they build their result.  An estimate past a bound is
+made again from the sizes of the actual values (for '+' and '-', of the
+sum they built); past a bound again, the input is a ParseError at the
+operator.  An integer literal is checked as it is read.
 The parser evaluates as it reads: each rule returns an exact reduced
-rational function of n, and the '+ -' and '* /' loops fold their operands
-from the left, so a long flat chain needs no deep recursion.  A character
-outside the grammar is reported first, wherever it is; otherwise the
-leftmost fault is reported, a ParseError or an EvalError for division by
-zero.  Formatting writes polynomials in descending powers with rational
-coefficients, and the output parses back to the same value.
+rational function of n with its size estimate, and the '+ -' and '* /'
+loops fold their operands from the left, so a long flat chain needs no
+deep recursion.  A character outside the grammar is reported first,
+wherever it is; otherwise the leftmost fault is reported, a ParseError or
+an EvalError for division by zero.  Formatting writes polynomials in
+descending powers with rational coefficients, and the output parses back
+to the same value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .polys import Poly, RatFunc
 from .recurrences import SolutionSet
@@ -83,6 +93,54 @@ def _tokenize(text: str) -> list[_Token]:
 # Parentheses and unary minus signs may nest at most this deep; the parser
 # recurses once per level, so the bound keeps it inside the interpreter's stack.
 MAX_NESTING = 100
+# Bounds on every parsed value: the degree of its numerator and denominator,
+# and the bits of each numerator and denominator of their coefficients.  The
+# cost of later steps grows with both, and a single '^' can raise them
+# without limit.
+MAX_DEGREE = 1000
+MAX_COEFF_BITS = 4096
+# a literal with more digits than 2^MAX_COEFF_BITS is past the bound unread
+_MAX_LITERAL_DIGITS = len(str(1 << MAX_COEFF_BITS))
+
+# A value with the (degree, bits) estimate the parser carries for it.
+_Sized = tuple[RatFunc, int, int]
+
+
+def _size(value: RatFunc) -> tuple[int, int]:
+    """Degree and coefficient bits of a value: the larger degree of its
+    numerator and denominator, and a bound on the bit length of every
+    numerator and denominator of their rational coefficients."""
+    degree = bits = 0
+    for p in (value.num, value.den):
+        prim = p.primitive
+        if prim:
+            num, den = p.content.as_integer_ratio()
+            degree = max(degree, len(prim) - 1)
+            bits = max(bits, (num * max(prim, key=abs)).bit_length(), den.bit_length())
+    return degree, bits
+
+
+def _bounded(degree: int, bits: int, offset: int, exact: Callable[[], tuple[int, int]]) -> tuple[int, int]:
+    """The estimate (degree, bits) when it is within both bounds; otherwise
+    the one `exact` makes from the sizes of the actual values, and if that
+    is past a bound too, a ParseError at offset."""
+    if degree <= MAX_DEGREE and bits <= MAX_COEFF_BITS:
+        return degree, bits
+    degree, bits = exact()
+    if degree > MAX_DEGREE:
+        raise ParseError(f"the value would have degree above {MAX_DEGREE}", offset)
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(f"the value would have coefficients above {MAX_COEFF_BITS} bits", offset)
+    return degree, bits
+
+
+def _literal(tok: _Token) -> int:
+    digits = tok.text.lstrip("0") or "0"
+    if len(digits) <= _MAX_LITERAL_DIGITS:
+        value = int(digits)
+        if value.bit_length() <= MAX_COEFF_BITS:
+            return value
+    raise ParseError(f"integer literal above {MAX_COEFF_BITS} bits", tok.offset)
 
 
 class _Parser:
@@ -105,45 +163,53 @@ class _Parser:
             raise ParseError(f"expected {kind!r}", self.current.offset)
         return self.advance()
 
-    def expr(self) -> RatFunc:
-        value = self.term()
+    def expr(self) -> _Sized:
+        value, degree, bits = self.term()
         while self.current.kind in ("+", "-"):
             op = self.advance()
-            right = self.term()
+            right, deg_r, bits_r = self.term()
             value = value + right if op.kind == "+" else value - right
-        return value
+            degree, bits = _bounded(degree + deg_r, bits + bits_r + 1, op.offset, lambda: _size(value))
+        return value, degree, bits
 
-    def term(self) -> RatFunc:
-        value = self.factor()
+    def term(self) -> _Sized:
+        value, degree, bits = self.factor()
         while self.current.kind in ("*", "/"):
             op = self.advance()
-            right = self.factor()
-            if op.kind == "*":
-                value = value * right
-            elif right.is_zero:
+            right, deg_r, bits_r = self.factor()
+            if op.kind == "/" and right.is_zero:
                 raise EvalError("division by an expression that is zero", op.offset)
-            else:
-                value = value / right
-        return value
 
-    def factor(self) -> RatFunc:
-        value = self.base()
+            def exact() -> tuple[int, int]:
+                (deg_a, bits_a), (deg_b, bits_b) = _size(value), _size(right)
+                return deg_a + deg_b, bits_a + bits_b
+
+            degree, bits = _bounded(degree + deg_r, bits + bits_r, op.offset, exact)
+            value = value * right if op.kind == "*" else value / right
+        return value, degree, bits
+
+    def factor(self) -> _Sized:
+        value, degree, bits = self.base()
         if self.current.kind == "^":
-            self.advance()
+            op = self.advance()
             if self.current.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", self.current.offset)
-            exponent = int(self.advance().text)
+            exponent = _literal(self.advance())
+            degree, bits = _bounded(
+                exponent * degree, exponent * bits, op.offset, lambda: tuple(exponent * x for x in _size(value))
+            )
             value = RatFunc(value.num**exponent, value.den**exponent)
-        return value
+        return value, degree, bits
 
-    def base(self) -> RatFunc:
+    def base(self) -> _Sized:
         tok = self.current
         if tok.kind == "int":
             self.advance()
-            return RatFunc.from_poly(Poly.const(int(tok.text)))
+            literal = _literal(tok)
+            return RatFunc.from_poly(Poly.const(literal)), 0, literal.bit_length()
         if tok.kind == "n":
             self.advance()
-            return RatFunc.from_poly(Poly.variable())
+            return RatFunc.from_poly(Poly.variable()), 1, 1
         if tok.kind not in ("(", "-"):
             raise ParseError("expected a number, 'n', '(' or '-'", tok.offset)
         if self.depth == MAX_NESTING:
@@ -151,12 +217,13 @@ class _Parser:
         self.advance()
         self.depth += 1
         if tok.kind == "(":
-            value = self.expr()
+            sized = self.expr()
             self.expect(")")
         else:
-            value = -self.factor()
+            value, degree, bits = self.factor()
+            sized = -value, degree, bits
         self.depth -= 1
-        return value
+        return sized
 
 
 def parse_ratfunc(text: str) -> RatFunc:
@@ -165,7 +232,7 @@ def parse_ratfunc(text: str) -> RatFunc:
     Raises ParseError or EvalError with the byte offset of the fault.
     """
     parser = _Parser(_tokenize(text))
-    value = parser.expr()
+    value, _, _ = parser.expr()
     if parser.current.kind != "end":
         raise ParseError("unexpected trailing input", parser.current.offset)
     return value

@@ -487,8 +487,20 @@ def falling_product(f: Poly, k: int) -> Poly:
 def _gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
     """f mod g over GF(p), for lists of residues with no trailing zero and
     g nonempty; f is reduced in place and returned."""
+    return _gf_rem_monic(f, _gf_monic_low(g, p), p)
+
+
+def _gf_monic_low(g: list[int], p: int) -> list[int]:
+    """The coefficients below the leading one of g made monic over GF(p),
+    which is all `_gf_rem_monic` needs of a modulus."""
     inv = pow(g[-1], -1, p)
-    low = [x * inv % p for x in g[:-1]]
+    return [x * inv % p for x in g[:-1]]
+
+
+def _gf_rem_monic(f: list[int], low: list[int], p: int) -> list[int]:
+    """f mod (h^len(low) + low) over GF(p); f is reduced in place and
+    returned.  Callers that reduce by one modulus many times prepare `low`
+    once with `_gf_monic_low`."""
     dg = len(low)
     while len(f) > dg:
         c = f.pop()

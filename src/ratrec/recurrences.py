@@ -13,7 +13,7 @@ of phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from .dispersion import integer_roots
 from .linalg import solve_exact
@@ -127,9 +127,13 @@ def _strip_common_factor(rec: LinearRecurrence) -> LinearRecurrence:
 def poly_solutions(rec: LinearRecurrence) -> SolutionSet:
     """All polynomial solutions, as particular + span(homogeneous basis).
 
-    Sets up the exact linear system for the coefficients of a candidate of
-    degree <= degree_bound and solves it by Gauss-Jordan elimination over
-    the rationals.  No solution is an ordinary outcome, not an error.
+    Sets up the linear system for the coefficients of a candidate of
+    degree <= degree_bound: column j holds the coefficients of the image
+    of n^j, and the target those of the right side.  One common multiple
+    of their content denominators clears every row, so the system is
+    built from their primitive integer parts and solved by
+    fraction-free elimination over the integers.  No solution is an
+    ordinary outcome, not an error.
     """
     rec = _strip_common_factor(rec)
     bound = degree_bound(rec)
@@ -138,14 +142,15 @@ def poly_solutions(rec: LinearRecurrence) -> SolutionSet:
             return SolutionSet(Poly.zero(), (), bound)
         return SolutionSet(None, (), bound)
     images = [rec.apply(Poly.monomial(i)) for i in range(bound + 1)]
-    height = max(
-        [im.degree + 1 for im in images if not im.is_zero]
-        + ([rec.rhs.degree + 1] if not rec.rhs.is_zero else [0])
-        + [1]
-    )
-    matrix = [[images[j].coeff(i) for j in range(bound + 1)] for i in range(height)]
-    target = [rec.rhs.coeff(i) for i in range(height)]
-    particular_vec, nullspace = solve_exact(matrix, target)
+    height = max(1, *[len(p.primitive) for p in (*images, rec.rhs)])
+    scale = lcm(*[p.content.denominator for p in (*images, rec.rhs)])
+
+    def column(p: Poly) -> list[int]:
+        factor = p.content.numerator * (scale // p.content.denominator)
+        return [factor * x for x in p.primitive] + [0] * (height - len(p.primitive))
+
+    matrix = [list(row) for row in zip(*[column(im) for im in images])]
+    particular_vec, nullspace = solve_exact(matrix, column(rec.rhs))
     particular = Poly(particular_vec) if particular_vec is not None else None
     basis = tuple(Poly(vec) for vec in nullspace)
     return SolutionSet(particular, basis, bound)

@@ -5,7 +5,9 @@ to check: the resultant oracle is a Sylvester determinant, the gcd oracle
 is the classical monic remainder sequence, dispersion is brute-forced by
 scanning shifts, `FracPoly` is polynomial arithmetic on plain Fraction
 coefficient lists, and the gcd sequence is taken from its definition as
-one gcd of two full products per term.  `integer_roots_by_divisors` and
+one gcd of two full products per term.  `solve_exact_over_q` is the dense
+Gauss-Jordan elimination on Fractions that the fraction-free solver
+replaced.  `integer_roots_by_divisors` and
 `dispersion_by_divisors` are the integer-root search the modular one
 replaced: a Fraction shift resultant interpolated over Q, and the divisors
 of its trailing coefficient tested as roots.
@@ -19,7 +21,6 @@ from fractions import Fraction
 from ratrec.dispersion import DispersionResult, dispersion, resultant
 from ratrec.gcdseq import GcdLimit
 from ratrec.intutil import factorize
-from ratrec.linalg import solve_exact
 from ratrec.polys import Poly, RatFunc, divrem, exact_div, gcd_monic, shift
 from ratrec.recurrences import LinearRecurrence, SolutionSet
 
@@ -374,6 +375,47 @@ def planted_rational_instance(
     return LinearRecurrence(coeffs, rhs), RatFunc.reduced(f, g), g
 
 
+def solve_exact_over_q(matrix, rhs):
+    """Solve M x = rhs by Gauss-Jordan elimination on Fraction entries;
+    same contract as `ratrec.linalg.solve_exact`, which replaced it."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    aug = [[Fraction(v) for v in matrix[i]] + [Fraction(rhs[i])] for i in range(rows)]
+
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+
+    particular = None
+    if all(aug[i][cols] == 0 for i in range(r, rows)):
+        particular = [Fraction(0)] * cols
+        for i, c in enumerate(pivot_cols):
+            particular[c] = aug[i][cols]
+
+    basis = []
+    for f in (c for c in range(cols) if c not in pivot_cols):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivot_cols):
+            vec[c] = -aug[i][f]
+        basis.append(vec)
+    return particular, basis
+
+
 def in_affine_family(solutions: SolutionSet, candidate: Poly) -> bool:
     """Exact membership of candidate in particular + span(basis)."""
     if solutions.particular is None:
@@ -386,7 +428,7 @@ def in_affine_family(solutions: SolutionSet, candidate: Poly) -> bool:
     height = int(height)
     matrix = [[h.coeff(i) for h in basis] for i in range(height)]
     rhs = [target.coeff(i) for i in range(height)]
-    particular, _ = solve_exact(matrix, rhs)
+    particular, _ = solve_exact_over_q(matrix, rhs)
     return particular is not None
 
 

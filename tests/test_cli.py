@@ -56,6 +56,15 @@ class TestDispersionCommand:
         assert payload["result"]["offset"] == MAX_NESTING
 
 
+    def test_oversized_power_is_an_input_error(self, capsys):
+        code, payload, _ = run_json(capsys, "gosper", "n^1001")
+        assert code == 2
+        assert payload["status"] == "error"
+        assert payload["result"]["offset"] == 1
+        code, _, err = run(capsys, "gosper", "((2^10)^10)^50")
+        assert code == 2
+        assert "bits" in err
+
 class TestDenominatorCommand:
     def test_explicit_method(self, capsys):
         code, payload, _ = run_json(

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ratrec.expressions import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
     MAX_NESTING,
     EvalError,
     ParseError,
@@ -78,6 +80,37 @@ class TestParse:
         # a flat chain is a left-deep tree as deep as it is long
         assert parse_poly("+".join(["n"] * 3000)) == 3000 * N
         assert parse_poly("*".join(["2"] * 300)) == Poly.const(2**300)
+
+    def test_degree_bound(self):
+        assert parse_poly(f"n^{MAX_DEGREE}") == N**MAX_DEGREE
+        assert parse_poly("(n^600)*(n^400)").degree == MAX_DEGREE
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(f"n^{MAX_DEGREE + 1}")
+        assert err.value.offset == 1
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc("(n^600)*(n^401)")
+        assert err.value.offset == 7
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc("1/(n^600)/(n^401)")
+        assert err.value.offset == 9
+        # a sum is checked once built: its numerator is n^1001 + n^1000 + 1
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(f"n^{MAX_DEGREE} + 1/(n+1)")
+        assert err.value.offset == 7
+        assert "degree above" in str(err.value)
+
+    def test_coefficient_bound(self):
+        assert parse_poly("2^2048") == Poly.const(2**2048)
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc("((2^10)^10)^50")
+        assert err.value.offset == 11
+        assert f"above {MAX_COEFF_BITS} bits" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc("n + 1/" + str(1 << MAX_COEFF_BITS))
+        assert err.value.offset == 6
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc("n^" + "9" * 5000)
+        assert err.value.offset == 2
 
     def test_whitespace_ignored(self):
         assert parse_poly(" n +  1/4 ") == N + Fraction(1, 4)
