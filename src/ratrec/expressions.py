@@ -16,8 +16,10 @@ n count exactly, '^e' multiplies the base's estimate by e, '*' and '/' add
 the operands' estimates, and '+' and '-' add them plus one bit.  '^', '*'
 and '/' check before they build their result.  An estimate past a bound is
 made again from the sizes of the actual values (for '+' and '-', of the
-sum they built); past a bound again, the input is a ParseError at the
-operator.  An integer literal is checked as it is read.
+sum they built; for '^e', of the power itself when its degree is within
+the bound and e times the base's bits is at most twice the bits bound, so
+that building it stays cheap); past a bound again, the input is a
+ParseError at the operator.  An integer literal is checked as it is read.
 The parser evaluates as it reads: each rule returns an exact reduced
 rational function of n with its size estimate, and the '+ -' and '* /'
 loops fold their operands from the left, so a long flat chain needs no
@@ -195,10 +197,22 @@ class _Parser:
             if self.current.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", self.current.offset)
             exponent = _literal(self.advance())
-            degree, bits = _bounded(
-                exponent * degree, exponent * bits, op.offset, lambda: tuple(exponent * x for x in _size(value))
-            )
-            value = RatFunc(value.num**exponent, value.den**exponent)
+            power = None
+
+            def exact() -> tuple[int, int]:
+                # the degree of a power is exact; its bits are measured on
+                # the power itself while building it is cheap
+                nonlocal power
+                base_degree, base_bits = _size(value)
+                if exponent * base_degree <= MAX_DEGREE and exponent * base_bits <= 2 * MAX_COEFF_BITS:
+                    power = RatFunc(value.num**exponent, value.den**exponent)
+                    return _size(power)
+                return exponent * base_degree, exponent * base_bits
+
+            degree, bits = _bounded(exponent * degree, exponent * bits, op.offset, exact)
+            if power is None:
+                power = RatFunc(value.num**exponent, value.den**exponent)
+            value = power
         return value, degree, bits
 
     def base(self) -> _Sized:

@@ -10,7 +10,14 @@ Gauss-Jordan elimination on Fractions that the fraction-free solver
 replaced.  `integer_roots_by_divisors` and
 `dispersion_by_divisors` are the integer-root search the modular one
 replaced: a Fraction shift resultant interpolated over Q, and the divisors
-of its trailing coefficient tested as roots.
+of its trailing coefficient tested as roots.  `dispersion_by_interpolation`
+is the modular search the sampling one replaced: the shift bound is the
+sum of the Cauchy root bounds, and every shift comes from the roots of the
+shift resultant interpolated mod p.  It calls the same GF(p) interpolation
+and root finder that `dispersion` keeps for a bound far above deg R, so on
+that path it checks the bound and the candidates kept, while
+`dispersion_by_divisors` checks the roots.  `fujiwara_holds` is the
+definition of Fujiwara's root bound, checked term by term.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ratrec.dispersion import DispersionResult, dispersion, resultant
+from ratrec.dispersion import DispersionResult, _gf_roots, _gf_shift_resultant, _root_prime, dispersion, resultant
 from ratrec.gcdseq import GcdLimit
 from ratrec.intutil import factorize
 from ratrec.polys import Poly, RatFunc, divrem, exact_div, gcd_monic, shift
@@ -274,6 +281,46 @@ def dispersion_by_divisors(a: Poly, b: Poly) -> DispersionResult:
     for k in sorted(integer_roots_by_divisors(shift_resultant)):
         if k < 0:
             continue
+        g = gcd_monic(a, shift(b, k))
+        if g.degree >= 1:
+            witnesses.append((k, g))
+    value = witnesses[-1][0] if witnesses else -1
+    return DispersionResult(value, tuple(witnesses))
+
+
+def cauchy_bound(ints: tuple[int, ...]) -> int:
+    """Ceiling of 1 + max |c_i| / c_d, which bounds the absolute value of
+    every complex root of a primitive polynomial of degree d >= 1."""
+    return 1 - (-max(map(abs, ints[:-1])) // ints[-1])
+
+
+def fujiwara_holds(ints: tuple[int, ...], r: int) -> bool:
+    """Whether r meets Fujiwara's inequalities for the integer polynomial
+    c_d n^d + ... + c_0 given ascending: |c_{d-i}| 2^i <= |c_d| r^i for
+    0 < i < d, and |c_0| 2^(d-1) <= |c_d| r^d."""
+    d = len(ints) - 1
+    lead = abs(ints[d])
+    for i in range(1, d):
+        if abs(ints[d - i]) * 2**i > lead * r**i:
+            return False
+    return abs(ints[0]) * 2 ** (d - 1) <= lead * r**d
+
+
+def dispersion_by_interpolation(a: Poly, b: Poly) -> DispersionResult:
+    """Dispersion from the roots of the shift resultant mod p, with the shift
+    bounded by the sum of the two Cauchy bounds: R mod p is interpolated
+    from deg a deg b + 1 modular resultants, its roots found by gcd with
+    h^p - h and equal-degree splitting, and each one up to the bound is
+    confirmed by the gcd."""
+    if a.degree == 0 or b.degree == 0:
+        return DispersionResult(-1, ())
+    pa, pb = a.primitive, b.primitive
+    bound = cauchy_bound(pa) + cauchy_bound(pb)
+    prime = _root_prime(max(2 * bound, (len(pa) - 1) * (len(pb) - 1)), pa[-1], pb[-1])
+    witnesses = []
+    for k in sorted(_gf_roots(_gf_shift_resultant(pa, pb, prime), prime)):
+        if k > bound:
+            break
         g = gcd_monic(a, shift(b, k))
         if g.degree >= 1:
             witnesses.append((k, g))

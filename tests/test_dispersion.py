@@ -7,12 +7,24 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ratrec.dispersion import _gf_shift_resultant, dispersion, integer_roots, resultant
+from ratrec.dispersion import (
+    DispersionResult,
+    _gf_shift_resultant,
+    _gf_sweep_zeros,
+    _root_bound,
+    _root_prime,
+    _sweeps,
+    dispersion,
+    integer_roots,
+    resultant,
+)
 from ratrec.polys import Poly, gcd_monic, shift
 
 from oracles import (
     brute_dispersion,
     dispersion_by_divisors,
+    dispersion_by_interpolation,
+    fujiwara_holds,
     integer_roots_by_divisors,
     rand_poly,
     rand_poly_int_roots,
@@ -295,3 +307,201 @@ class TestAgainstDivisorSearch:
         result = dispersion(a, b)
         assert result == dispersion_by_divisors(a, b)
         assert result.value >= k
+
+
+# -- sampling under Fujiwara's bound against the interpolating search ----------
+
+
+def path_of(a, b):
+    """Which way `dispersion` reads off the candidate shifts of (a, b)."""
+    pa, pb = a.primitive, b.primitive
+    bound = _root_bound(pa) + _root_bound(pb)
+    top = int(a.degree * b.degree)
+    if bound <= top:
+        return "samples"
+    prime = _root_prime(max(2 * bound, top), pa[-1], pb[-1])
+    return "sweep" if _sweeps(bound, top, prime) else "roots"
+
+
+def linear_factors(roots):
+    return [Poly((-r, 1)) for r in roots]
+
+
+@st.composite
+def low_bound_pairs(draw):
+    """(a, b) of degree 3 to 6 whose roots have absolute value at most 2,
+    b often holding a factor of a shifted by up to 3: the shift bound
+    mostly stays within deg a deg b."""
+    irreducible = st.sampled_from([None, Poly((1, 0, 1)), Poly((1, 1, 1))])
+    a_factors = linear_factors(draw(st.lists(st.integers(-2, 2), min_size=3, max_size=4)))
+    extra = draw(irreducible)
+    if extra is not None:
+        a_factors.append(extra)
+    b_factors = [shift(f, -draw(st.integers(0, 3))) for f in a_factors if draw(st.booleans())]
+    b_factors += linear_factors(draw(st.lists(st.integers(-2, 2), min_size=max(0, 3 - len(b_factors)), max_size=4)))
+    return product(a_factors, draw(scales)), product(b_factors, draw(scales))
+
+
+@st.composite
+def sweep_pairs(draw):
+    """(a, b) of degree 2 to 4 with roots near 0, b holding factors of a
+    shifted by up to 60: the shift bound exceeds deg a deg b by a little."""
+    shared = draw(root_factors(max_degree=2, far=False))
+    a = product(shared + draw(root_factors(2, far=False)), draw(scales))
+    b_factors = [shift(f, -draw(st.integers(0, 60))) for f in shared if draw(st.booleans())]
+    b = product(b_factors + draw(root_factors(2, far=False)), draw(scales))
+    return a, b
+
+
+@st.composite
+def far_root_pairs(draw):
+    """(a, b) of degree at most 2 with a root beyond 100, b often holding
+    a's linear factor shifted by up to 10^4: the shift bound is far above
+    deg a deg b."""
+    r = draw(st.integers(100, 10**4)) * draw(st.sampled_from([1, -1]))
+    lead = draw(st.integers(1, 5))
+    linear = Poly((-r, lead))
+    a = product([linear] + draw(st.lists(st.sampled_from(linear_factors([0, 1, -3, 7]) + [Poly((1, 2))]), max_size=1)))
+    if draw(st.booleans()):
+        b = shift(linear, -draw(st.integers(0, 10**4)))
+    else:
+        b = Poly((-draw(st.integers(-(10**4), 10**4)), draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        b = b * Poly((-draw(st.integers(-30, 30)), 1))
+    return a * draw(scales), b
+
+
+class TestAgainstInterpolation:
+    @given(low_bound_pairs())
+    def test_samples_alone(self, pair):
+        a, b = pair
+        assume(path_of(a, b) == "samples")
+        assert dispersion(a, b) == dispersion_by_interpolation(a, b)
+
+    @given(sweep_pairs())
+    def test_sweep(self, pair):
+        a, b = pair
+        assume(path_of(a, b) == "sweep")
+        assert dispersion(a, b) == dispersion_by_interpolation(a, b)
+
+    @given(far_root_pairs())
+    def test_roots_of_the_interpolated_resultant(self, pair):
+        a, b = pair
+        assume(path_of(a, b) == "roots")
+        assert dispersion(a, b) == dispersion_by_interpolation(a, b)
+
+    def test_each_path_is_taken(self):
+        assert path_of((N - 1) * N * (N + 1), (N - 2) * N * (N + 2)) == "samples"
+        assert path_of((N + 1) * (N + 3), (N - 10) * (N + 2)) == "sweep"
+        assert path_of(N - 5000, N + 3000) == "roots"
+
+    @given(
+        st.sampled_from([11, 101, 10007, 2**31 - 1, 2**61 - 1]),
+        st.lists(st.integers(0, 300), max_size=4),
+        st.lists(st.integers(0, 2**61), min_size=1, max_size=8),
+        st.integers(0, 300),
+    )
+    def test_sweep_zeros_are_the_zeros_of_the_polynomial(self, p, roots, other, stop):
+        # f = prod (n - r) * other over Z; the sweep reads f mod p past the
+        # deg f + 1 samples, whether or not p exceeds deg f
+        f = product(linear_factors(roots) + [Poly(other)])
+        assume(not f.is_zero)
+        samples = [int(f(h)) % p for h in range(int(f.degree) + 1)]
+        expected = [h for h in range(len(samples), stop + 1) if f(h) % p == 0]
+        assert _gf_sweep_zeros(samples, stop, p) == expected
+
+
+# -- Fujiwara's bound -------------------------------------------------------
+
+rational_roots = st.tuples(st.integers(-(10**6), 10**6), st.integers(1, 50))
+
+
+class TestRootBound:
+    @given(
+        st.lists(rational_roots, min_size=1, max_size=5),
+        st.sampled_from([None, Poly((3, 0, 1)), Poly((1, 1, 1))]),
+        scales,
+    )
+    def test_bound_covers_planted_roots(self, roots, extra, scale):
+        # a root num/den of (den n - num) satisfies |num / den| <= bound
+        factors = [Poly((-num, den)) for num, den in roots]
+        if extra is not None:
+            factors.append(extra)
+        bound = _root_bound(product(factors, scale).primitive)
+        assert all(abs(num) <= bound * den for num, den in roots)
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12), st.integers(-(2**400), 2**400)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.one_of(st.integers(1, 9), st.integers(1, 2**80)),
+        st.sampled_from([1, -1]),
+    )
+    def test_bound_is_the_smallest_meeting_the_inequalities(self, low, lead, sign):
+        ints = tuple(low) + (sign * lead,)
+        bound = _root_bound(ints)
+        assert fujiwara_holds(ints, bound)
+        assert bound == 0 or not fujiwara_holds(ints, bound - 1)
+        assert (bound == 0) == (not any(low))
+
+    def test_bound_of_a_pure_power_and_of_linear_inputs(self):
+        assert _root_bound((0, 0, 0, 7)) == 0
+        assert _root_bound((-6, 3)) == 2
+        assert _root_bound((7, 3)) == 3
+        # n^2 - 2: |c_0| 2 <= r^2 first holds at r = 2
+        assert _root_bound((-2, 0, 1)) == 2
+
+    @given(st.integers(1, 4), st.integers(-9, 9).filter(bool), st.integers(-30, 30), root_factors(max_degree=2))
+    def test_integer_roots_when_the_first_prime_divides_the_leading_coefficient(self, m, c, r, rest):
+        # f = (n - r)(q m n + c) * rest, with q the smallest prime above twice
+        # the root bound of f itself: the root search must pass over q
+        q, fixed = 3, False
+        for _ in range(6):
+            f = product([Poly((-r, 1)), Poly((c, q * m))] + rest)
+            bound_prime = first_candidate_prime(max(2 * _root_bound(f.primitive), 2))
+            fixed = bound_prime == q
+            if fixed:
+                break
+            q = bound_prime
+        assume(fixed and c % q != 0)
+        assert f.primitive[-1] % q == 0
+        assert integer_roots(f) == integer_roots_by_divisors(f)
+
+    @given(st.integers(1, 4), st.integers(-9, 9).filter(bool), st.integers(0, 40), root_factors(max_degree=2))
+    def test_dispersion_when_the_first_prime_divides_a_leading_coefficient(self, m, c, k, rest):
+        # a = (q m n + c) * rest and b = a's first factor shifted by -k, with q
+        # the smallest prime above max(2B, deg a deg b) for this very pair
+        q, fixed = 3, False
+        for _ in range(6):
+            linear = Poly((c, q * m))
+            a, b = product([linear] + rest), shift(linear, -k)
+            bound = _root_bound(a.primitive) + _root_bound(b.primitive)
+            bound_prime = first_candidate_prime(max(2 * bound, int(a.degree * b.degree)))
+            fixed = bound_prime == q
+            if fixed:
+                break
+            q = bound_prime
+        assume(fixed and c % q != 0)
+        assert a.primitive[-1] % q == 0 and b.primitive[-1] % q == 0
+        result = dispersion(a, b)
+        assert result == dispersion_by_divisors(a, b)
+        assert result.value >= k
+
+
+class TestFormerCliffs:
+    """Inputs that took seconds to minutes while the shift bound was the sum
+    of the Cauchy bounds and every shift came from interpolating R."""
+
+    def test_shifted_fortieth_powers(self):
+        # Cauchy put the bound near 10^28; Fujiwara puts it at 562 < deg R
+        assert dispersion(N**40 + 1, shift(N**40 + 1, 7)) == DispersionResult(-1, ())
+
+    def test_eightieth_powers(self):
+        assert dispersion(N**80 + 1, N**80 + 2) == DispersionResult(-1, ())
+
+    def test_repeated_factors(self):
+        # R has degree 484, but the bound is far below it
+        result = dispersion((N + 1) ** 20 * (N**2 + 3), N**20 * (N**2 + 5))
+        assert result == DispersionResult(1, ((1, (N + 1) ** 20),))

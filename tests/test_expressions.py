@@ -112,6 +112,23 @@ class TestParse:
             parse_ratfunc("n^" + "9" * 5000)
         assert err.value.offset == 2
 
+    def test_power_at_the_coefficient_bound(self):
+        # the estimate counts 2 and 3 as 2 bits each; the powers themselves
+        # decide, at and just past the bound
+        top3 = max(e for e in range(3000) if (3**e).bit_length() <= MAX_COEFF_BITS)
+        assert parse_poly(f"2^{MAX_COEFF_BITS - 1}") == Poly.const(2 ** (MAX_COEFF_BITS - 1))
+        assert parse_poly("3^2583") == Poly.const(3**2583)
+        assert parse_poly(f"3^{top3}") == Poly.const(3**top3)
+        assert parse_ratfunc(f"(1/3)^{top3}") == RatFunc.reduced(Poly.one(), Poly.const(3**top3))
+        for text in (f"2^{MAX_COEFF_BITS}", f"3^{top3 + 1}", f"(1/3)^{top3 + 1}", f"(2*n)^{MAX_COEFF_BITS}"):
+            with pytest.raises(ParseError) as err:
+                parse_ratfunc(text)
+            assert err.value.offset == text.rindex("^")
+        # past the degree bound the power is refused before it is built
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(f"(n^{MAX_DEGREE // 2}+1)^3")
+        assert "degree above" in str(err.value)
+
     def test_whitespace_ignored(self):
         assert parse_poly(" n +  1/4 ") == N + Fraction(1, 4)
 
