@@ -17,7 +17,7 @@ import json
 import sys
 import traceback
 
-from .denominators import abramov_reduce, check_gosper_rep, check_gp_rep, gp_rep_from_trace, gp_reduce
+from .denominators import abramov_reduce, check_gp_rep, gp_rep_from_trace, gp_reduce
 from .dispersion import dispersion
 from .expressions import EvalError, ParseError, parse_poly, parse_ratfunc
 from .gcdseq import gcd_limit
@@ -154,21 +154,20 @@ def _cmd_gp_rep(args) -> tuple[int, dict, list[str]]:
     if ratio.is_zero:
         raise _CommandError("the ratio must be nonzero")
     rep = gp_rep_from_trace(ratio.num, ratio.den)
-    gosper_ok = check_gosper_rep(rep)
-    gp_ok = check_gp_rep(rep)
+    check = check_gp_rep(rep)
     lines = [
         f"num factor = {rep.num_factor}",
         f"den factor = {rep.den_factor}",
         f"shift factor = {rep.shift_factor}",
-        f"gosper conditions: {'ok' if gosper_ok.ok else 'failed'}",
-        f"gp conditions: {'ok' if gp_ok.ok else 'failed'}",
+        f"gosper conditions: {'ok' if check.gosper_ok else 'failed'}",
+        f"gp conditions: {'ok' if check.ok else 'failed'}",
     ]
     payload = {
         "num_factor": _poly_json(rep.num_factor),
         "den_factor": _poly_json(rep.den_factor),
         "shift_factor": _poly_json(rep.shift_factor),
-        "gosper_conditions_ok": gosper_ok.ok,
-        "gp_conditions_ok": gp_ok.ok,
+        "gosper_conditions_ok": check.gosper_ok,
+        "gp_conditions_ok": check.ok,
     }
     return 0, payload, lines
 
@@ -233,7 +232,7 @@ def _cmd_verify_gosper(args) -> tuple[int, dict, list[str]]:
     ratio_text, certificate_text = _expressions(args, ["ratio", "certificate"], 2)
     ratio = parse_ratfunc(ratio_text)
     certificate = parse_ratfunc(certificate_text)
-    ok = ratio * certificate.shifted(1) - certificate == RatFunc.one()
+    ok = verify_gosper(ratio, certificate)
     payload = {"verified": ok}
     return (0 if ok else 1), payload, [f"verified: {'true' if ok else 'false'}"]
 

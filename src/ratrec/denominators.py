@@ -71,6 +71,12 @@ class RepCheckResult:
     def __bool__(self) -> bool:
         return self.ok
 
+    @property
+    def gosper_ok(self) -> bool:
+        """Whether the Gosper conditions hold, also after check_gp_rep,
+        which tests them before its own."""
+        return self.failed_condition not in ("identity", "shift_coprime")
+
 
 def abramov_reduce(p0: Poly, pd: Poly, d: int) -> AbramovTrace:
     """Abramov's downward reduction of (pd(n-d), p0(n)).

@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .intutil import is_probable_prime
-from .polys import Poly, _gf_gcd, _gf_monic_low, _gf_rem, _gf_rem_monic, divrem, gcd_monic, shift
+from .polys import Poly, _gf_gcd, _gf_monic_low, _gf_rem, _gf_rem_monic, _mul_ints, divrem, gcd_monic, shift
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:
@@ -111,17 +111,6 @@ def _root_prime(floor: int, *leading: int) -> int:
     return p
 
 
-def _gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                out[i + j] += x * y
-    return [x % p for x in out]
-
-
 def _gf_powmod(c: int, e: int, m: list[int], p: int) -> list[int]:
     """(h + c)^e mod m over GF(p), for e >= 1 and m of degree >= 1."""
     low = _gf_monic_low(m, p)
@@ -129,7 +118,7 @@ def _gf_powmod(c: int, e: int, m: list[int], p: int) -> list[int]:
     for bit in bin(e)[3:]:
         if not acc:
             break
-        acc = _gf_rem_monic(_gf_mul(acc, acc, p), low, p)
+        acc = _gf_rem_monic([x % p for x in _mul_ints(acc, acc)], low, p)
         if bit == "1" and acc:
             # times h + c
             acc = _gf_rem_monic([(x + c * y) % p for x, y in zip([0] + acc, acc + [0])], low, p)

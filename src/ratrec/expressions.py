@@ -13,13 +13,13 @@ deeper input is a ParseError at the offending token.  Values stay within
 MAX_DEGREE and MAX_COEFF_BITS, by an estimate of (degree, bits) that the
 parser carries with every value and checks at every operator: literals and
 n count exactly, '^e' multiplies the base's estimate by e, '*' and '/' add
-the operands' estimates, and '+' and '-' add them plus one bit.  '^', '*'
-and '/' check before they build their result.  An estimate past a bound is
-made again from the sizes of the actual values (for '+' and '-', of the
-sum they built; for '^e', of the power itself when its degree is within
-the bound and e times the base's bits is at most twice the bits bound, so
-that building it stays cheap); past a bound again, the input is a
-ParseError at the operator.  An integer literal is checked as it is read.
+the operands' estimates, and '+' and '-' add them plus one bit.  '^'
+checks before it builds its result.  An estimate past a bound is made
+again from the sizes of the actual values (for '+', '-', '*' and '/', of
+the value they built from two operands within the bounds; for '^e', of
+the power itself when its degree is within the bound and e times the
+base's bits is at most twice the bits bound, so that building it stays
+cheap); past a bound again, the input is a ParseError at the operator.  An integer literal is checked as it is read.
 The parser evaluates as it reads: each rule returns an exact reduced
 rational function of n with its size estimate, and the '+ -' and '* /'
 loops fold their operands from the left, so a long flat chain needs no
@@ -181,13 +181,8 @@ class _Parser:
             right, deg_r, bits_r = self.factor()
             if op.kind == "/" and right.is_zero:
                 raise EvalError("division by an expression that is zero", op.offset)
-
-            def exact() -> tuple[int, int]:
-                (deg_a, bits_a), (deg_b, bits_b) = _size(value), _size(right)
-                return deg_a + deg_b, bits_a + bits_b
-
-            degree, bits = _bounded(degree + deg_r, bits + bits_r, op.offset, exact)
             value = value * right if op.kind == "*" else value / right
+            degree, bits = _bounded(degree + deg_r, bits + bits_r, op.offset, lambda: _size(value))
         return value, degree, bits
 
     def factor(self) -> _Sized:

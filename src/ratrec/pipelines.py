@@ -1,19 +1,19 @@
 """End-to-end algorithms: Gosper's indefinite summation and rational
 solutions of order-d linear difference equations, plus exact verifiers.
 
-Gosper: given the term ratio r(n) = t_{n+1}/t_n in lowest terms a/b, the
-stabilized gcd sequence of (b, a) at order 1 supplies a denominator g, the
-key polynomial equation
+Both solve sum_m coeffs[m](n) y(n+m) = rhs(n) for rational y = f/G, given
+a denominator G that every solution's denominator divides: multiplied by
+L = lcm(G(n), ..., G(n+d)), it becomes an equation for the polynomial f,
+with coefficients coeffs[m] L / G(n+m) and right side L rhs.
 
-    a(n) g(n) f(n+1) - b(n) g(n+1) f(n) = b(n) g(n) g(n+1)
+Gosper: for the term ratio r = t_{n+1}/t_n = a/b in lowest terms, the
+certificate y solves a(n) y(n+1) - b(n) y(n) = b(n), and the stabilized
+gcd sequence of (b, a) at order 1 supplies G; z_n = y(n) t_n is an
+antidifference of t_n, and no f means no hypergeometric antidifference
+exists at all.
 
-is handed to the polynomial solver, and z_n = (f(n)/g(n)) t_n is an
-antidifference of t_n whenever a polynomial f exists; no f means no
-hypergeometric antidifference exists at all.
-
-Rational solving: the closed-form universal denominator G clears the
-order-d equation to a purely polynomial one whose solutions f give all
-rational solutions y = f/G.
+Rational solving: G is the closed-form universal denominator of the
+trailing and leading coefficients, and the f give all rational solutions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .dispersion import dispersion
 from .gcdseq import GcdLimit, gcd_limit, _universal_from_shift
-from .polys import Poly, RatFunc, shift
+from .polys import Poly, RatFunc, exact_div, gcd_monic, shift
 from .recurrences import LinearRecurrence, SolutionSet, poly_solutions
 
 
@@ -66,6 +66,23 @@ class RationalSolutions:
         )
 
 
+def _cleared_solutions(rec: LinearRecurrence, denominator: Poly) -> SolutionSet:
+    """The polynomials f such that y = f / denominator solves rec.
+
+    Coefficient m is multiplied by L / G(n+m) and the right side by L, for
+    G the denominator and L = lcm(G(n), ..., G(n+d)).
+    """
+    shifts = [shift(denominator, j) for j in range(rec.order + 1)]
+    common = shifts[0]
+    for s in shifts[1:]:
+        common = common * exact_div(s, gcd_monic(common, s))
+    cleared = LinearRecurrence(
+        tuple(q * exact_div(common, s) for q, s in zip(rec.coeffs, shifts)),
+        rec.rhs * common,
+    )
+    return poly_solutions(cleared)
+
+
 def gosper(ratio: RatFunc) -> GosperSolution | None:
     """Solve z_{n+1} - z_n = t_n for hypergeometric z given r = t_{n+1}/t_n.
 
@@ -78,9 +95,7 @@ def gosper(ratio: RatFunc) -> GosperSolution | None:
     a, b = ratio.num, ratio.den
     trace = gcd_limit(b, a, 1)
     g = trace.limit
-    g_up = shift(g, 1)
-    key = LinearRecurrence((-(b * g_up), a * g), b * g * g_up)
-    found = poly_solutions(key)
+    found = _cleared_solutions(LinearRecurrence((-b, a), b), g)
     if found.particular is None:
         return None
     f = found.particular
@@ -98,34 +113,24 @@ def rational_solve(rec: LinearRecurrence) -> RationalSolutions:
     """All rational solutions of sum_m coeffs[m](n) y(n+m) = rhs(n).
 
     Computes the universal denominator G from the leading and trailing
-    coefficients, clears the equation by the shifts of G, and solves the
-    resulting polynomial equation.  An absent particular solution means
-    the equation has no rational solution at all.
+    coefficients, clears the equation by the lcm of the shifts of G, and
+    solves the resulting polynomial equation.  An absent particular
+    solution means the equation has no rational solution at all.
     """
     if rec.coeffs[0].is_zero:
         raise ValueError("rational solving needs a nonzero trailing coefficient")
     p0, pd, d = rec.coeffs[0], rec.coeffs[-1], rec.order
     n_max = dispersion(shift(pd, -d), p0).value
     denominator = _universal_from_shift(p0, pd, d, n_max)
-    den_shifts = [shift(denominator, j) for j in range(d + 1)]
-    prefix = [Poly.one()]
-    for s in den_shifts:
-        prefix.append(prefix[-1] * s)
-    suffix = [Poly.one()]
-    for s in reversed(den_shifts):
-        suffix.append(suffix[-1] * s)
-    suffix.reverse()
-    cleared = LinearRecurrence(
-        tuple(q * prefix[m] * suffix[m + 1] for m, q in enumerate(rec.coeffs)),
-        rec.rhs * prefix[-1],
-    )
-    return RationalSolutions(denominator, n_max, poly_solutions(cleared))
+    return RationalSolutions(denominator, n_max, _cleared_solutions(rec, denominator))
 
 
-def verify_gosper(solution: GosperSolution) -> bool:
-    """Exact check of ratio * certificate(n+1) - certificate(n) = 1."""
-    y = solution.certificate
-    return solution.ratio * y.shifted(1) - y == RatFunc.one()
+def verify_gosper(ratio: GosperSolution | RatFunc, certificate: RatFunc | None = None) -> bool:
+    """Exact check of ratio * certificate(n+1) - certificate(n) = 1, for a
+    GosperSolution alone or for a term ratio and a candidate certificate."""
+    if certificate is None:
+        ratio, certificate = ratio.ratio, ratio.certificate
+    return ratio * certificate.shifted(1) - certificate == RatFunc.one()
 
 
 def verify_rational(rec: LinearRecurrence, y: RatFunc) -> bool:

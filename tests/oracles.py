@@ -18,6 +18,9 @@ and root finder that `dispersion` keeps for a bound far above deg R, so on
 that path it checks the bound and the candidates kept, while
 `dispersion_by_divisors` checks the roots.  `fujiwara_holds` is the
 definition of Fujiwara's root bound, checked term by term.
+`cleared_by_products` is the clearing of a recurrence by its denominator's
+shifts that the lcm clearing replaced: coefficient m times the product of
+every other shift.
 """
 
 from __future__ import annotations
@@ -123,6 +126,24 @@ def gcd_limit_by_products(p0: Poly, pd: Poly, d: int) -> GcdLimit:
         falling = falling * shift(pd, -d - j)
         trace.append(gcd_monic(rising, falling))
     return GcdLimit(n_max, trace[-1], tuple(trace))
+
+
+def cleared_by_products(rec: LinearRecurrence, denominator: Poly) -> LinearRecurrence:
+    """The polynomial equation for f, y = f / G, with coefficient m
+    multiplied by the product of G(n+j) over j != m, from prefix and suffix
+    products, and the right side by the product of all G(n+j)."""
+    den_shifts = [shift(denominator, j) for j in range(rec.order + 1)]
+    prefix = [Poly.one()]
+    for s in den_shifts:
+        prefix.append(prefix[-1] * s)
+    suffix = [Poly.one()]
+    for s in reversed(den_shifts):
+        suffix.append(suffix[-1] * s)
+    suffix.reverse()
+    return LinearRecurrence(
+        tuple(q * prefix[m] * suffix[m + 1] for m, q in enumerate(rec.coeffs)),
+        rec.rhs * prefix[-1],
+    )
 
 
 def reduction_at_every_shift(lead: Poly, trail: Poly, shifts) -> tuple[list[Poly], Poly, Poly]:

@@ -157,6 +157,29 @@ class TestGpRepCommand:
         assert result["shift_factor"]["pretty"] == "n + 2"
         assert result["gp_conditions_ok"] is True
 
+    def test_conditions_checked_once(self, capsys, monkeypatch):
+        import ratrec.denominators
+
+        identities, dispersions = [], []
+        identity_holds, dispersion = ratrec.denominators._identity_holds, ratrec.denominators.dispersion
+
+        def counted_identity(rep):
+            identities.append(rep)
+            return identity_holds(rep)
+
+        def counted_dispersion(a, b):
+            dispersions.append((a, b))
+            return dispersion(a, b)
+
+        monkeypatch.setattr(ratrec.denominators, "_identity_holds", counted_identity)
+        monkeypatch.setattr(ratrec.denominators, "dispersion", counted_dispersion)
+        code, payload, _ = run_json(capsys, "gp-rep", "(2*n+5)*(n+7)/((n+1)*(3*n+2))")
+        assert code == 0
+        assert payload["result"]["gosper_conditions_ok"] is True
+        assert payload["result"]["gp_conditions_ok"] is True
+        (rep,) = identities
+        assert dispersions.count((rep.num_factor, rep.den_factor)) == 1
+
 
 class TestRatsolveCommand:
     def test_order_three_family(self, capsys):

@@ -200,12 +200,14 @@ class TestRepChecks:
         assert result.failed_condition == "shift_coprime"
         assert result.failing_shift == 3
         assert result.witness == N
+        assert not check_gp_rep(rep).gosper_ok
 
     def test_broken_identity_reported(self):
         rep = GosperRep(RatFunc.reduced(N, N - 3), N + 1, N - 3, Poly.one())
         result = check_gosper_rep(rep)
         assert not result.ok
         assert result.failed_condition == "identity"
+        assert not check_gp_rep(rep).gosper_ok
 
     def test_num_coprime_condition(self):
         # shift factor shares a root with the numerator factor:
@@ -222,8 +224,10 @@ class TestRepChecks:
         assert not result.ok
         assert result.failed_condition == "num_coprime"
         assert result.witness == N + 1
+        assert result.gosper_ok
 
     def test_trivial_rep_passes_both(self):
         rep = GosperRep(RatFunc.reduced(N**2 + 1, N + 4), N**2 + 1, N + 4, Poly.one())
         assert check_gosper_rep(rep).ok
         assert check_gp_rep(rep).ok
+        assert check_gp_rep(rep).gosper_ok

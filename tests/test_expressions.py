@@ -129,6 +129,22 @@ class TestParse:
             parse_ratfunc(f"(n^{MAX_DEGREE // 2}+1)^3")
         assert "degree above" in str(err.value)
 
+    def test_product_and_quotient_at_the_bounds(self):
+        # the estimates add the operands' sizes; the values built decide
+        top = 2 ** (MAX_COEFF_BITS - 1)
+        assert parse_poly(f"2^{MAX_COEFF_BITS - 1}*n") == N * top
+        assert parse_poly("(2^2048)*(2^2047)") == Poly.const(top)
+        assert parse_ratfunc(f"2^{MAX_COEFF_BITS - 1}/(2*n)") == RatFunc.reduced(Poly.const(top // 2), N)
+        # a quotient's degree is the larger of its numerator's and denominator's
+        assert parse_ratfunc(f"(n^{MAX_DEGREE}+5)/(n^{MAX_DEGREE}+7)") == RatFunc.reduced(
+            N**MAX_DEGREE + 5, N**MAX_DEGREE + 7
+        )
+        past = ((f"2^{MAX_COEFF_BITS - 1}", "*(2*n)"), (f"(n^{MAX_DEGREE})", "*n"), (f"(n^{MAX_DEGREE})", "/(1/n)"))
+        for left, right in past:
+            with pytest.raises(ParseError) as err:
+                parse_ratfunc(left + right)
+            assert err.value.offset == len(left)
+
     def test_whitespace_ignored(self):
         assert parse_poly(" n +  1/4 ") == N + Fraction(1, 4)
 

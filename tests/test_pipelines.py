@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from ratrec.pipelines import gosper, rational_solve, verify_gosper, verify_rational
+from ratrec.gcdseq import gcd_limit
+from ratrec.pipelines import _cleared_solutions, gosper, rational_solve, verify_gosper, verify_rational
 from ratrec.polys import Poly, RatFunc, divrem, shift
-from ratrec.recurrences import LinearRecurrence
+from ratrec.recurrences import LinearRecurrence, poly_solutions
 
 from oracles import (
+    cleared_by_products,
     divides,
     in_affine_family,
     planted_antidifference_ratio,
@@ -169,6 +173,8 @@ class TestVerifiers:
         ratio = RatFunc.reduced(N + 1, N)
         y = RatFunc.reduced(N - 1, Poly.const(2))
         assert ratio * y.shifted(1) - y == RatFunc.one()
+        assert verify_gosper(ratio, y)
+        assert not verify_gosper(ratio, y + RatFunc.one())
 
     def test_verify_rational_zero_against_homogeneous(self):
         assert verify_rational(EX41_REC, RatFunc.zero())
@@ -179,3 +185,88 @@ class TestVerifiers:
 
     def test_verified_form_of_order_three_family(self):
         assert verify_rational(EX41_REC, RatFunc.reduced(2 * N - 3, N**2 - 1))
+
+
+small_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Poly)
+
+
+@st.composite
+def recurrences(draw):
+    order = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(small_polys, min_size=order + 1, max_size=order + 1))
+    assume(not coeffs[-1].is_zero)
+    return LinearRecurrence(tuple(coeffs), draw(small_polys))
+
+
+@st.composite
+def denominators(draw):
+    """Products of factors n + r with roots close together, so that the
+    shifts of G share factors and their lcm is well below their product,
+    and at times a factor with no rational root."""
+    g = Poly.const(draw(st.integers(1, 3)))
+    for root in draw(st.lists(st.integers(-4, 4), max_size=4)):
+        g = g * (N - root)
+    if draw(st.booleans()):
+        g = g * (N**2 + draw(st.integers(1, 3)))
+    return g
+
+
+def gosper_equation(ratio: RatFunc) -> LinearRecurrence:
+    """a(n) y(n+1) - b(n) y(n) = b(n) for the ratio a/b: the certificate's equation."""
+    return LinearRecurrence((-ratio.den, ratio.num), ratio.den)
+
+
+class TestClearing:
+    """The lcm clearing against the product clearing it replaced: the two
+    cleared equations differ by a polynomial factor, which poly_solutions
+    strips, so their solution sets are equal."""
+
+    @given(recurrences(), denominators())
+    def test_random_recurrences(self, rec, g):
+        assert _cleared_solutions(rec, g) == poly_solutions(cleared_by_products(rec, g))
+
+    def test_planted_rational_corpus(self):
+        rng = random.Random(90008)
+        for _ in range(100):
+            rec, _, _ = planted_rational_instance(rng)
+            g = rational_solve(rec).denominator
+            assert _cleared_solutions(rec, g) == poly_solutions(cleared_by_products(rec, g))
+
+    def test_planted_antidifference_corpus(self):
+        rng = random.Random(90007)
+        for _ in range(100):
+            ratio = planted_antidifference_ratio(rng)
+            rec, g = gosper_equation(ratio), gcd_limit(ratio.den, ratio.num, 1).limit
+            assert _cleared_solutions(rec, g) == poly_solutions(cleared_by_products(rec, g))
+
+
+class TestGosperIsOrderOneRationalSolving:
+    """Gosper's certificate is the particular rational solution of its
+    order-1 equation, and exists exactly when that equation has one."""
+
+    def check(self, ratio: RatFunc) -> None:
+        solution = gosper(ratio)
+        particular = rational_solve(gosper_equation(ratio)).particular
+        if particular is None:
+            assert solution is None
+        else:
+            assert solution is not None
+            assert solution.certificate == particular
+
+    @given(small_polys, small_polys)
+    def test_random_ratios(self, num, den):
+        assume(not num.is_zero and not den.is_zero)
+        self.check(RatFunc.reduced(num, den))
+
+    def test_planted_antidifferences(self):
+        rng = random.Random(90007)
+        for _ in range(100):
+            self.check(planted_antidifference_ratio(rng))
+
+    def test_ratios_with_rational_homogeneous_solutions(self):
+        # t_n = n and t_n = n (n + 1): the equations have 1/n and
+        # 1/(n (n + 1)) as homogeneous solutions, yet the particular
+        # solutions agree
+        for ratio in (RatFunc.reduced(N + 1, N), RatFunc.reduced(N + 2, N)):
+            assert rational_solve(gosper_equation(ratio)).homogeneous
+            self.check(ratio)
