@@ -22,7 +22,7 @@ from .dispersion import dispersion
 from .expressions import EvalError, ParseError, parse_poly, parse_ratfunc
 from .gcdseq import gcd_limit
 from .pipelines import gosper, rational_solve, verify_gosper, verify_rational
-from .polys import Poly, RatFunc, exact_div, gcd_monic
+from .polys import Poly, RatFunc
 from .recurrences import LinearRecurrence
 
 
@@ -100,11 +100,8 @@ def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
     else:  # gp
         if args.order != 1:
             raise _CommandError("--method gp applies only to --order 1")
-        num, den = pd, p0
-        g = gcd_monic(num, den)
-        if g.degree > 0:
-            num, den = exact_div(num, g), exact_div(den, g)
-        result = gp_reduce(num, den)
+        ratio = RatFunc.reduced(pd, p0)
+        result = gp_reduce(ratio.num, ratio.den)
         denominator, steps = result.denominator, result.step_gcds
         labels = [f"extracted at shift {i}" for i in range(1, len(steps) + 1)]
     payload: dict = {"order": args.order, "method": args.method, "max_shift": result.max_shift}

@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .intutil import is_probable_prime
-from .polys import Poly, _gf_gcd, _gf_monic_low, _gf_rem, _gf_rem_monic, _mul_ints, divrem, gcd_monic, shift
+from .polys import Poly, _gf_gcd, _gf_monic_low, _gf_rem, _gf_rem_monic, _mul_ints, _shift_ints, divrem, gcd_monic, shift
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:
@@ -193,11 +193,7 @@ def _gf_samples(a: tuple[int, ...], b: tuple[int, ...], p: int, count: int) -> l
     values = []
     for h in range(count):
         if h:
-            # Taylor shift by one
-            for i in range(len(fb) - 1):
-                for j in range(len(fb) - 2, i - 1, -1):
-                    fb[j] += fb[j + 1]
-            fb = [x % p for x in fb]
+            fb = [x % p for x in _shift_ints(fb, 1)]
         values.append(_gf_resultant(fa, fb, p))
     return values
 

@@ -14,12 +14,14 @@ MAX_DEGREE and MAX_COEFF_BITS, by an estimate of (degree, bits) that the
 parser carries with every value and checks at every operator: literals and
 n count exactly, '^e' multiplies the base's estimate by e, '*' and '/' add
 the operands' estimates, and '+' and '-' add them plus one bit.  '^'
-checks before it builds its result.  An estimate past a bound is made
-again from the sizes of the actual values (for '+', '-', '*' and '/', of
-the value they built from two operands within the bounds; for '^e', of
-the power itself when its degree is within the bound and e times the
-base's bits is at most twice the bits bound, so that building it stays
-cheap); past a bound again, the input is a ParseError at the operator.  An integer literal is checked as it is read.
+checks before it builds its result; so do '*' and '/', for a degree past
+MAX_DEGREE however much cancels.  An estimate past a bound is made again
+from the sizes of the actual values (for '+', '-', '*' and '/', of the
+value they built from two operands within the bounds; for '^e', of the
+power itself when its degree is within the bound and e times the base's
+bits is at most twice the bits bound, so that building it stays cheap);
+past a bound again, the input is a ParseError at the operator.  An integer
+literal is checked as it is read.
 The parser evaluates as it reads: each rule returns an exact reduced
 rational function of n with its size estimate, and the '+ -' and '* /'
 loops fold their operands from the left, so a long flat chain needs no
@@ -103,6 +105,7 @@ MAX_DEGREE = 1000
 MAX_COEFF_BITS = 4096
 # a literal with more digits than 2^MAX_COEFF_BITS is past the bound unread
 _MAX_LITERAL_DIGITS = len(str(1 << MAX_COEFF_BITS))
+_PAST_DEGREE = f"the value would have degree above {MAX_DEGREE}"
 
 # A value with the (degree, bits) estimate the parser carries for it.
 _Sized = tuple[RatFunc, int, int]
@@ -130,7 +133,7 @@ def _bounded(degree: int, bits: int, offset: int, exact: Callable[[], tuple[int,
         return degree, bits
     degree, bits = exact()
     if degree > MAX_DEGREE:
-        raise ParseError(f"the value would have degree above {MAX_DEGREE}", offset)
+        raise ParseError(_PAST_DEGREE, offset)
     if bits > MAX_COEFF_BITS:
         raise ParseError(f"the value would have coefficients above {MAX_COEFF_BITS} bits", offset)
     return degree, bits
@@ -181,6 +184,14 @@ class _Parser:
             right, deg_r, bits_r = self.factor()
             if op.kind == "/" and right.is_zero:
                 raise EvalError("division by an expression that is zero", op.offset)
+            if degree + deg_r > MAX_DEGREE and not (value.is_zero or right.is_zero):
+                top, bottom = (right.num, right.den) if op.kind == "*" else (right.den, right.num)
+                # refused before it is built: both pairs are coprime, so what cancels from
+                # value.num * top / (value.den * bottom) divides gcd(value.num, bottom) * gcd(top, value.den)
+                t, u = value.num.degree, value.den.degree
+                cancel = min(t, bottom.degree) + min(top.degree, u)
+                if max(t + top.degree, u + bottom.degree) - cancel > MAX_DEGREE:
+                    raise ParseError(_PAST_DEGREE, op.offset)
             value = value * right if op.kind == "*" else value / right
             degree, bits = _bounded(degree + deg_r, bits + bits_r, op.offset, lambda: _size(value))
         return value, degree, bits

@@ -12,8 +12,9 @@ gcd sequence of (b, a) at order 1 supplies G; z_n = y(n) t_n is an
 antidifference of t_n, and no f means no hypergeometric antidifference
 exists at all.
 
-Rational solving: G is the closed-form universal denominator of the
-trailing and leading coefficients, and the f give all rational solutions.
+Rational solving: the stabilized gcd sequence of the trailing and leading
+coefficients supplies G, as for Gosper, and the f give all rational
+solutions.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dispersion import dispersion
-from .gcdseq import GcdLimit, gcd_limit, _universal_from_shift
+from .gcdseq import GcdLimit, gcd_limit
 from .polys import Poly, RatFunc, exact_div, gcd_monic, shift
 from .recurrences import LinearRecurrence, SolutionSet, poly_solutions
 
@@ -112,17 +112,16 @@ def gosper(ratio: RatFunc) -> GosperSolution | None:
 def rational_solve(rec: LinearRecurrence) -> RationalSolutions:
     """All rational solutions of sum_m coeffs[m](n) y(n+m) = rhs(n).
 
-    Computes the universal denominator G from the leading and trailing
-    coefficients, clears the equation by the lcm of the shifts of G, and
-    solves the resulting polynomial equation.  An absent particular
-    solution means the equation has no rational solution at all.
+    Takes the universal denominator G as the limit of the gcd sequence of
+    the trailing and leading coefficients, clears the equation by the lcm
+    of the shifts of G, and solves the resulting polynomial equation.  An
+    absent particular solution means the equation has no rational solution
+    at all.
     """
     if rec.coeffs[0].is_zero:
         raise ValueError("rational solving needs a nonzero trailing coefficient")
-    p0, pd, d = rec.coeffs[0], rec.coeffs[-1], rec.order
-    n_max = dispersion(shift(pd, -d), p0).value
-    denominator = _universal_from_shift(p0, pd, d, n_max)
-    return RationalSolutions(denominator, n_max, _cleared_solutions(rec, denominator))
+    trace = gcd_limit(rec.coeffs[0], rec.coeffs[-1], rec.order)
+    return RationalSolutions(trace.limit, trace.max_shift, _cleared_solutions(rec, trace.limit))
 
 
 def verify_gosper(ratio: GosperSolution | RatFunc, certificate: RatFunc | None = None) -> bool:

@@ -13,7 +13,8 @@ too, so multiplication, `shift` and `exact_div` run on Python ints and
 never take a coefficient gcd.  Long products use Kronecker substitution:
 both factors are packed into one integer with byte-aligned slots, CPython
 multiplies the two integers, and the product is unpacked in linear time.
-Shifts evaluate the polynomial at a packed point the same way.
+Only products pack: a shift is a Taylor pass by repeated synthetic
+division, quadratic in the length, at every length.
 
 `Poly.coeffs` is the ascending tuple of Fraction coefficients c * P[i],
 built on first use and cached; it is a view for printing and for callers
@@ -43,8 +44,8 @@ NEG_INFINITY = float("-inf")
 _F0 = Fraction(0)
 _new = object.__new__
 
-# from this many coefficients on, packing into one integer beats the
-# schoolbook loops (for products: in the shorter factor)
+# from this many coefficients in the shorter factor on, a product packs both
+# factors into one integer rather than running the schoolbook loops
 _KRONECKER_MIN_LEN = 12
 
 
@@ -359,24 +360,15 @@ def _mul_ints(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(_unpack(pa * pb, width, la + lb - 1))
 
 
-def _shift_ints(a: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Coefficients of P(n + k) for the integer coefficient tuple P."""
-    size = len(a)
-    if size < _KRONECKER_MIN_LEN:
-        # Taylor pass by repeated synthetic division
-        c = list(a)
-        for i in range(size - 1):
-            for j in range(size - 2, i - 1, -1):
-                c[j] += k * c[j + 1]
-        return tuple(c)
-    # P(2^B + k) = sum_j P(n + k)[j] 2^(B j): Horner at the packed point
-    bits = _max_bits(a) + size.bit_length() + (size - 1) * (abs(k) + 1).bit_length() + 1
-    width = bits // 8 + 1
-    step = 8 * width
-    acc = 0
-    for c in reversed(a):
-        acc = (acc << step) + acc * k + c
-    return tuple(_unpack(acc, width, size))
+def _shift_ints(a: "tuple[int, ...] | list[int]", k: int) -> tuple[int, ...]:
+    """Coefficients of P(n + k) for the integer coefficient sequence P, by a
+    Taylor pass of repeated synthetic division."""
+    c = list(a)
+    size = len(c)
+    for i in range(size - 1):
+        for j in range(size - 2, i - 1, -1):
+            c[j] += k * c[j + 1]
+    return tuple(c)
 
 
 def _exact_quo_ints(a: tuple[int, ...], b: tuple[int, ...]) -> "list[int] | None":

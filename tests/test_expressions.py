@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratrec import polys
 from ratrec.expressions import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
@@ -144,6 +145,29 @@ class TestParse:
             with pytest.raises(ParseError) as err:
                 parse_ratfunc(left + right)
             assert err.value.offset == len(left)
+
+    def test_past_degree_product_is_refused_before_it_is_built(self, monkeypatch):
+        shorter = []
+        mul = polys._mul_ints
+
+        def spy(a, b):
+            shorter.append(min(len(a), len(b)))
+            return mul(a, b)
+
+        monkeypatch.setattr(polys, "_mul_ints", spy)
+        text = f"((n+3)^{MAX_DEGREE}+5)*((n+4)^{MAX_DEGREE}+7)"
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(text)
+        assert err.value.offset == text.index(")*") + 1
+        assert "degree above" in str(err.value)
+        # the powers were built, but no product of two degree-1000 operands
+        assert shorter and max(shorter) <= MAX_DEGREE
+
+    def test_product_within_the_degree_bound_after_cancelling(self):
+        # the unreduced numerators have degree 1001; n cancels in both
+        expected = N ** (MAX_DEGREE - 1) * (N + 1)
+        assert parse_poly(f"(n^{MAX_DEGREE})*((n+1)/n)") == expected
+        assert parse_poly(f"(n^{MAX_DEGREE})/(n/(n+1))") == expected
 
     def test_whitespace_ignored(self):
         assert parse_poly(" n +  1/4 ") == N + Fraction(1, 4)

@@ -34,6 +34,8 @@ coefficients = st.one_of(
 )
 short = st.lists(coefficients, max_size=5)
 long = st.lists(coefficients, min_size=12, max_size=30)
+longer = st.lists(coefficients, min_size=30, max_size=120)
+shifts = st.one_of(st.integers(-40, 40), st.integers(-(10**6), 10**6))
 nonzero_short = st.lists(coefficients, min_size=1, max_size=6).filter(any)
 
 
@@ -42,7 +44,8 @@ def agree(p: Poly, oracle: FracPoly) -> bool:
 
 
 def test_length_strategies_straddle_the_cutoff():
-    # `short` lists take the schoolbook loops, `long` ones Kronecker substitution
+    # in products, `short` lists take the schoolbook loops and `long` ones
+    # Kronecker substitution; a shift is one synthetic-division pass at any length
     assert 5 < _KRONECKER_MIN_LEN <= 12
 
 
@@ -93,9 +96,14 @@ class TestKernelsAgainstFractionOracle:
         assert agree(p * p, FracPoly(a) * FracPoly(a))
         assert p**3 == p * p * p
 
-    @given(st.one_of(short, long), st.integers(-40, 40))
+    @given(st.one_of(short, long, longer), shifts)
     def test_shift(self, a, k):
         assert agree(shift(Poly(a), k), FracPoly(a).shift(k))
+
+    @pytest.mark.parametrize("k", [-7, 1, 30])
+    def test_shift_of_a_high_power_is_its_binomial_expansion(self, k):
+        expected = Poly([math.comb(1000, i) * k ** (1000 - i) for i in range(1001)])
+        assert shift(Poly.monomial(1000), k) == expected
 
     @given(st.lists(coefficients, max_size=9), nonzero_short)
     def test_divrem(self, a, b):
