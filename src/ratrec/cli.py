@@ -4,7 +4,8 @@ Commands: dispersion, denominator, gosper, gp-rep, ratsolve, verify.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 for "no solution" / failed-verification outcomes, 2 on input errors,
 3 when any other exception escapes a command (a fault in ratrec; its
-traceback goes to stderr).
+traceback goes to stderr).  A reader that closes stdout early does not
+change the exit code.
 With --json, stdout carries a single envelope
 {"status": "ok"|"no_solution"|"error", "command": ..., "result": ...}.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 
@@ -316,13 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_out(text: str) -> None:
+    """Print text on stdout.  A reader that closes the pipe early (`| head`)
+    is no fault of the command: the rest of the output is dropped, and the
+    exit code still says the outcome."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: give it a sink
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def _report_error(args, command: str, message: str, offset: int | None, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     if args.json:
         envelope = {"status": "error", "command": command, "result": {"message": message}}
         if offset is not None:
             envelope["result"]["offset"] = offset
-        print(json.dumps(envelope))
+        _print_out(json.dumps(envelope))
     return code
 
 
@@ -343,10 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         return _report_error(args, command, f"internal error: {type(exc).__name__}: {exc}", None, 3)
     if args.json:
         status = "ok" if code == 0 else "no_solution"
-        print(json.dumps({"status": status, "command": command, "result": payload}))
-    else:
-        for line in lines:
-            print(line)
+        _print_out(json.dumps({"status": status, "command": command, "result": payload}))
+    elif lines:
+        _print_out("\n".join(lines))
     return code
 
 

@@ -1,7 +1,12 @@
 """Command-line interface: outputs, exit codes, JSON envelopes."""
 
 import argparse
+import io
 import json
+import os
+import sys
+
+import pytest
 
 import ratrec.cli
 from ratrec.cli import build_parser, main
@@ -337,3 +342,41 @@ class TestInternalErrors:
         assert code == 3
         assert out == ""
         assert "error: internal error: RuntimeError: inexact division" in err
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises, as on EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    # a reader that stops early (`ratrec ... | head -c 1`) must not turn the
+    # outcome into a traceback and exit 1
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("dispersion", "n+2", "(n+1)*(n+2)"), 0),
+            (("dispersion", "n+2", "(n+1)*(n+2)", "--json"), 0),
+            (("gosper", "(n+1)/(n+2)"), 1),
+            (("gosper", "(n+1)/(n+2)", "--json"), 1),
+            (("gosper", "n^1001", "--json"), 2),
+        ],
+    )
+    def test_command_code_and_no_traceback(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(list(argv)) == expected
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_last_flush_goes_to_the_null_device(self, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = io.TextIOWrapper(io.BufferedWriter(io.FileIO(write_end, "w"), buffer_size=16))
+        monkeypatch.setattr(sys, "stdout", out)
+        try:
+            assert main(["dispersion", "n+2", "(n+1)*(n+2)", "--verbose"]) == 0
+            out.write("more output after the reader left\n")
+            out.flush()
+        finally:
+            out.close()

@@ -7,11 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratrec import polys
 from ratrec.denominators import abramov_reduce, gp_reduce
-from ratrec.gcdseq import gcd_limit
+from ratrec.gcdseq import gcd_limit, universal_denominator
 from ratrec.intutil import CRT_PRIMES, PrimeStream, is_probable_prime
 from ratrec.polys import (
     _KRONECKER_MIN_LEN,
@@ -134,6 +135,100 @@ class TestKernelsAgainstFractionOracle:
         for j in range(k):
             expected = expected * FracPoly(f).shift(-j)
         assert agree(falling_product(Poly(f), k), expected)
+
+
+# coefficients past one CRT prime, so that a gcd pass runs modulo a product
+wide_ints = st.integers(61, 400).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
+wide = st.lists(wide_ints, min_size=2, max_size=6).filter(lambda cs: cs[-1] != 0)
+wide_constants = st.integers(1 << 20, 1 << 30) | st.integers(-(1 << 30), -(1 << 20))
+
+
+def closed_form_pair(alpha: int, beta: int, c: int, gamma: int, shift_by: int, count: int) -> tuple[Poly, Poly]:
+    """The two falling products whose gcd is the closed-form universal
+    denominator, for p0 = (alpha n + beta)(n^2 + c) and
+    pd = p0(n + shift_by) (alpha n + gamma), d = 1."""
+    n = Poly.variable()
+    p0 = (alpha * n + beta) * (n * n + c)
+    pd = shift(p0, shift_by) * (alpha * n + gamma)
+    return falling_product(shift(p0, count - 1), count), falling_product(shift(pd, -1), count)
+
+
+def agrees_with_oracle(a: Poly, b: Poly) -> bool:
+    return agree(gcd_monic(a, b), FracPoly(a.coeffs).gcd(FracPoly(b.coeffs)))
+
+
+def ascending_small_primes():
+    """Primes from 101 up: small enough that a product modulus often meets a
+    zero divisor or an unlucky prime."""
+    c = 101
+    while True:
+        if is_probable_prime(c):
+            yield c
+        c += 1
+
+
+class TestCompositeModulusGcd:
+    @given(wide, wide, st.lists(wide_ints, min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0))
+    def test_wide_coefficients(self, a, b, common):
+        pa, pb, pc = Poly(a), Poly(b), Poly(common)
+        assert agrees_with_oracle(pa, pb)
+        assert agrees_with_oracle(pa * pc, pb * pc)
+        # the gcd is one of the inputs
+        assert agrees_with_oracle(pa * pc, pc)
+
+    @settings(max_examples=25)
+    @given(
+        st.sampled_from([2, 3]),
+        wide_constants,
+        wide_constants.map(abs),
+        wide_constants,
+        st.integers(1, 7),
+        st.integers(2, 6),
+    )
+    def test_closed_form_falling_products(self, alpha, beta, c, gamma, shift_by, count):
+        # 20- to 30-bit constants give the products coefficients of 100 to 500 bits
+        assert agrees_with_oracle(*closed_form_pair(alpha, beta, c, gamma, shift_by, count))
+
+    def test_zero_divisor_and_unlucky_moduli_are_dropped(self, monkeypatch):
+        raised = []
+        gf_gcd = polys._gf_gcd
+
+        def spy(a, b, m):
+            try:
+                return gf_gcd(a, b, m)
+            except ValueError:
+                raised.append(m)
+                raise
+
+        monkeypatch.setattr(polys, "PrimeStream", ascending_small_primes)
+        monkeypatch.setattr(polys, "_gf_gcd", spy)
+        rng = random.Random(2031)
+        n = Poly.variable()
+        for _ in range(12):
+            common = Poly([rng.randint(-(1 << 200), 1 << 200) for _ in range(3)]) + n**3
+            a = common * Poly([rng.randint(-(1 << 150), 1 << 150) for _ in range(4)])
+            b = common * Poly([rng.randint(-(1 << 150), 1 << 150) for _ in range(5)])
+            assert agrees_with_oracle(a, b)
+        for shift_by, count in ((3, 5), (5, 6)):
+            assert agrees_with_oracle(*closed_form_pair(3, 2, 5, 1, shift_by, count))
+        assert raised
+
+    def test_planted_pair_takes_two_passes(self, monkeypatch):
+        # p0 = (3n+2)(n^2+5), pd = p0(n+21)(5n+1), d = 1: dispersion N = 20,
+        # and the closed form is one gcd of two falling products of degree 63
+        # and 84; one 61-bit prime a pass would need four passes
+        lengths = []
+        gf_gcd = polys._gf_gcd
+
+        def spy(a, b, m):
+            lengths.append(min(len(a), len(b)))
+            return gf_gcd(a, b, m)
+
+        monkeypatch.setattr(polys, "_gf_gcd", spy)
+        n = Poly.variable()
+        p0 = (3 * n + 2) * (n * n + 5)
+        assert universal_denominator(p0, shift(p0, 21) * (5 * n + 1), 1).degree == 63
+        assert 1 <= sum(1 for length in lengths if length > 20) <= 2
 
 
 class TestGcdSequence:
