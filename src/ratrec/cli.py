@@ -352,6 +352,22 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return int(exc.code or 0)
+    # a result can be far wider than the inputs the parser bounds, and
+    # printing it must not hit the interpreter's int-to-str digit limit
+    # (Python 3.11 on); the limit is restored for in-process callers
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return _run(args)
+    previous = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _run(args) -> int:
+    """Run the parsed command, print its outcome and return its exit code."""
     command = args.command if args.command != "verify" else f"verify {args.verify_command}"
     try:
         code, payload, lines = args.handler(args)

@@ -20,19 +20,24 @@ that path it checks the bound and the candidates kept, while
 definition of Fujiwara's root bound, checked term by term.
 `cleared_by_products` is the clearing of a recurrence by its denominator's
 shifts that the lcm clearing replaced: coefficient m times the product of
-every other shift.
+every other shift.  `poly_solutions_dense` is the undetermined-coefficient
+solve that top-down substitution replaced: the equation divided by the gcd
+of its polynomials, the images of 1, n, ..., n^bound as the columns of one
+dense integer system, and fraction-free elimination on all of it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from ratrec.dispersion import DispersionResult, _gf_roots, _gf_shift_resultant, _root_prime, dispersion, resultant
 from ratrec.gcdseq import GcdLimit
 from ratrec.intutil import factorize
+from ratrec.linalg import solve_exact
 from ratrec.polys import Poly, RatFunc, divrem, exact_div, gcd_monic, shift
-from ratrec.recurrences import LinearRecurrence, SolutionSet
+from ratrec.recurrences import LinearRecurrence, SolutionSet, degree_bound
 
 
 class FracPoly:
@@ -504,3 +509,44 @@ def rand_ratfunc(rng: random.Random) -> RatFunc:
     num = rand_poly(rng, 3, -9, 9) if rng.random() < 0.9 else Poly.zero()
     den = rand_poly(rng, 3, -9, 9)
     return RatFunc.reduced(num, den)
+
+
+def strip_common_factor(rec: LinearRecurrence) -> LinearRecurrence:
+    """Divide the whole equation by the monic gcd of all its polynomials."""
+    g: Poly | None = None
+    for p in (*rec.coeffs, rec.rhs):
+        if p.is_zero:
+            continue
+        g = p.monic() if g is None else gcd_monic(g, p)
+        if g.degree == 0:
+            return rec
+    if g is None or g.degree == 0:
+        return rec
+    coeffs = tuple(q if q.is_zero else exact_div(q, g) for q in rec.coeffs)
+    rhs = rec.rhs if rec.rhs.is_zero else exact_div(rec.rhs, g)
+    return LinearRecurrence(coeffs, rhs)
+
+
+def poly_solutions_dense(rec: LinearRecurrence) -> SolutionSet:
+    """All polynomial solutions from one dense system: column j holds the
+    coefficients of the image of n^j, cleared by one common multiple of the
+    content denominators, and `solve_exact` eliminates the whole system."""
+    rec = strip_common_factor(rec)
+    bound = degree_bound(rec)
+    if bound < 0:
+        if rec.rhs.is_zero:
+            return SolutionSet(Poly.zero(), (), bound)
+        return SolutionSet(None, (), bound)
+    images = [rec.apply(Poly.monomial(i)) for i in range(bound + 1)]
+    height = max(1, *[len(p.primitive) for p in (*images, rec.rhs)])
+    scale = lcm(*[p.content.denominator for p in (*images, rec.rhs)])
+
+    def column(p: Poly) -> list[int]:
+        factor = p.content.numerator * (scale // p.content.denominator)
+        return [factor * x for x in p.primitive] + [0] * (height - len(p.primitive))
+
+    matrix = [list(row) for row in zip(*[column(im) for im in images])]
+    particular_vec, nullspace = solve_exact(matrix, column(rec.rhs))
+    particular = Poly(particular_vec) if particular_vec is not None else None
+    basis = tuple(Poly(vec) for vec in nullspace)
+    return SolutionSet(particular, basis, bound)

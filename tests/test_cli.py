@@ -5,12 +5,15 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
 import ratrec.cli
 from ratrec.cli import build_parser, main
-from ratrec.expressions import MAX_NESTING
+from ratrec.expressions import MAX_NESTING, parse_ratfunc
+from ratrec.pipelines import verify_gosper
+from ratrec.polys import Poly, RatFunc
 
 EX41_COEFFS = [
     "(-(n-1)*(2*n-1)*(n+1))",
@@ -150,6 +153,25 @@ class TestGosperCommand:
         code, _, err = run(capsys, "gosper", "1/(n-n)")
         assert code == 2
         assert "zero" in err
+
+    def test_result_wider_than_the_int_digit_limit(self, capsys):
+        # the certificate's coefficients have about 20,000 bits, past the
+        # 4300 digits Python converts to str by default (3.11 on)
+        ratio = "(2^4000*n+2^4000*6+1)/(2^4000*n+2^4000+1)"
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        limit = get_limit()
+        code, out, _ = run(capsys, "gosper", ratio, "--json")
+        assert code == 0
+        assert get_limit() == limit  # main restores the limit for in-process callers
+        y = json.loads(out)["result"]["y"]
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            num, den = (Poly([Fraction(c) for c in y[part]["coeffs"]]) for part in ("num", "den"))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert verify_gosper(parse_ratfunc(ratio), RatFunc.reduced(num, den))
 
 
 class TestGpRepCommand:

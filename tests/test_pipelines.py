@@ -218,8 +218,8 @@ def gosper_equation(ratio: RatFunc) -> LinearRecurrence:
 
 class TestClearing:
     """The lcm clearing against the product clearing it replaced: the two
-    cleared equations differ by a polynomial factor, which poly_solutions
-    strips, so their solution sets are equal."""
+    cleared equations differ by a polynomial factor, which changes neither
+    the degree bound nor the solutions, so their solution sets are equal."""
 
     @given(recurrences(), denominators())
     def test_random_recurrences(self, rec, g):
