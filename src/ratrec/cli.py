@@ -36,7 +36,10 @@ def _poly_json(p: Poly) -> dict:
 
 
 def _ratfunc_json(r: RatFunc) -> dict:
-    return {"pretty": str(r), "num": _poly_json(r.num), "den": _poly_json(r.den)}
+    num, den = _poly_json(r.num), _poly_json(r.den)
+    # str(r), from the strings just made
+    pretty = num["pretty"] if r.den == Poly.one() else f"({num['pretty']})/({den['pretty']})"
+    return {"pretty": pretty, "num": num, "den": den}
 
 
 class _CommandError(Exception):
@@ -74,15 +77,11 @@ def _nonzero_poly(text: str, what: str) -> Poly:
 def _cmd_dispersion(args) -> tuple[int, dict, list[str]]:
     first, second = _expressions(args, ["first", "second"], 2)
     result = dispersion(_nonzero_poly(first, "first argument"), _nonzero_poly(second, "second argument"))
+    witnesses = [{"shift": k, "gcd": _poly_json(g)} for k, g in result.witnesses]
     lines = [f"dispersion = {result.value}"]
     if args.verbose:
-        for k, g in result.witnesses:
-            lines.append(f"shift {k}: common factor {g}")
-    payload = {
-        "value": result.value,
-        "witnesses": [{"shift": k, "gcd": _poly_json(g)} for k, g in result.witnesses],
-    }
-    return 0, payload, lines
+        lines.extend(f"shift {w['shift']}: common factor {w['gcd']['pretty']}" for w in witnesses)
+    return 0, {"value": result.value, "witnesses": witnesses}, lines
 
 
 def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
@@ -107,12 +106,13 @@ def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
         denominator, steps = result.denominator, result.step_gcds
         labels = [f"extracted at shift {i}" for i in range(1, len(steps) + 1)]
     payload: dict = {"order": args.order, "method": args.method, "max_shift": result.max_shift}
-    lines = [f"denominator = {denominator}"]
     if args.verbose:
         payload["trace"] = [_poly_json(g) for g in steps]
-        lines.append(f"max shift = {result.max_shift}")
-        lines.extend(f"{label}: {g}" for label, g in zip(labels, steps))
     payload["denominator"] = _poly_json(denominator)
+    lines = [f"denominator = {payload['denominator']['pretty']}"]
+    if args.verbose:
+        lines.append(f"max shift = {result.max_shift}")
+        lines.extend(f"{label}: {g['pretty']}" for label, g in zip(labels, payload["trace"]))
     return 0, payload, lines
 
 
@@ -126,15 +126,6 @@ def _cmd_gosper(args) -> tuple[int, dict, list[str]]:
         return 1, {"reason": "no hypergeometric antidifference exists"}, [
             "no hypergeometric antidifference exists"
         ]
-    lines = [
-        f"max shift = {solution.max_shift}",
-        f"denominator g = {solution.raw_denominator}",
-        f"numerator f = {solution.raw_numerator}",
-        f"certificate y = {solution.certificate}",
-    ]
-    if args.verbose:
-        for i, g in enumerate(solution.gcd_trace.trace, start=1):
-            lines.append(f"gcd sequence [{i}]: {g}")
     payload = {
         "max_shift": solution.max_shift,
         "g": _poly_json(solution.raw_denominator),
@@ -142,8 +133,15 @@ def _cmd_gosper(args) -> tuple[int, dict, list[str]]:
         "y": _ratfunc_json(solution.certificate),
         "verified": verify_gosper(solution),
     }
+    lines = [
+        f"max shift = {solution.max_shift}",
+        f"denominator g = {payload['g']['pretty']}",
+        f"numerator f = {payload['f']['pretty']}",
+        f"certificate y = {payload['y']['pretty']}",
+    ]
     if args.verbose:
         payload["trace"] = [_poly_json(g) for g in solution.gcd_trace.trace]
+        lines.extend(f"gcd sequence [{i}]: {g['pretty']}" for i, g in enumerate(payload["trace"], start=1))
     return 0, payload, lines
 
 
@@ -154,13 +152,6 @@ def _cmd_gp_rep(args) -> tuple[int, dict, list[str]]:
         raise _CommandError("the ratio must be nonzero")
     rep = gp_rep_from_trace(ratio.num, ratio.den)
     check = check_gp_rep(rep)
-    lines = [
-        f"num factor = {rep.num_factor}",
-        f"den factor = {rep.den_factor}",
-        f"shift factor = {rep.shift_factor}",
-        f"gosper conditions: {'ok' if check.gosper_ok else 'failed'}",
-        f"gp conditions: {'ok' if check.ok else 'failed'}",
-    ]
     payload = {
         "num_factor": _poly_json(rep.num_factor),
         "den_factor": _poly_json(rep.den_factor),
@@ -168,6 +159,13 @@ def _cmd_gp_rep(args) -> tuple[int, dict, list[str]]:
         "gosper_conditions_ok": check.gosper_ok,
         "gp_conditions_ok": check.ok,
     }
+    lines = [
+        f"num factor = {payload['num_factor']['pretty']}",
+        f"den factor = {payload['den_factor']['pretty']}",
+        f"shift factor = {payload['shift_factor']['pretty']}",
+        f"gosper conditions: {'ok' if check.gosper_ok else 'failed'}",
+        f"gp conditions: {'ok' if check.ok else 'failed'}",
+    ]
     return 0, payload, lines
 
 
@@ -210,20 +208,18 @@ def _cmd_ratsolve(args) -> tuple[int, dict, list[str]]:
     }
     lines = [
         f"max shift = {result.max_shift}",
-        f"denominator = {result.denominator}",
+        f"denominator = {payload['denominator']['pretty']}",
     ]
     if result.particular is None:
         lines.append("no rational solution")
         return 1, payload, lines
-    lines.append(f"particular = {result.particular}")
-    for i, h in enumerate(result.homogeneous):
-        lines.append(f"homogeneous[{i}] = {h}")
+    lines.append(f"particular = {payload['particular']['pretty']}")
+    lines.extend(f"homogeneous[{i}] = {h['pretty']}" for i, h in enumerate(payload["homogeneous"]))
     if args.verbose:
         lines.append(f"degree bound = {numerators.degree_bound}")
         if numerators.particular is not None:
-            lines.append(f"numerator particular = {numerators.particular}")
-        for i, h in enumerate(numerators.homogeneous_basis):
-            lines.append(f"numerator basis[{i}] = {h}")
+            lines.append(f"numerator particular = {payload['numerator_particular']['pretty']}")
+        lines.extend(f"numerator basis[{i}] = {h['pretty']}" for i, h in enumerate(payload["numerator_basis"]))
     return 0, payload, lines
 
 

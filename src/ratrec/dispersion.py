@@ -34,7 +34,7 @@ Each candidate is verified by the gcd that becomes its witness.
 
 `integer_roots` bounds the roots the same way and finds them with the same
 root finder, as symmetric residues modulo a prime above twice the bound,
-and checks every candidate by exact evaluation over Z.
+and checks every candidate by evaluating the polynomial at it exactly.
 """
 
 from __future__ import annotations
@@ -276,20 +276,12 @@ def _shift_candidates(a: tuple[int, ...], b: tuple[int, ...], bound: int, p: int
     return zeros
 
 
-def _value_at(ints: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
 def integer_roots(p: Poly) -> set[int]:
     """All integer roots of a nonzero polynomial.
 
     The roots modulo the smallest odd prime above twice the root bound that
     keeps the degree, read as symmetric residues, are the only candidates;
-    each is checked by exact evaluation of the primitive integer
-    coefficients.
+    each is checked by evaluating p at it exactly.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every integer as a root")
@@ -301,7 +293,7 @@ def integer_roots(p: Poly) -> set[int]:
     for r in _gf_roots([x % prime for x in ints], prime):
         if r > prime // 2:
             r -= prime
-        if _value_at(ints, r) == 0:
+        if p(r) == 0:
             roots.add(r)
     return roots
 

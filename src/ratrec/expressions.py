@@ -1,29 +1,34 @@
 """Expression parsing, evaluation and formatting for the CLI.
 
-Grammar (whitespace is skipped; implicit multiplication is not allowed):
+Grammar (implicit multiplication is not allowed):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := base ('^' uint)?
     base   := uint | 'n' | '(' expr ')' | '-' factor
 
+The grammar is ASCII: a uint is a run of the digits 0-9, and space, tab,
+newline, carriage return, form feed and vertical tab are skipped.  Any
+other character is a ParseError at its offset; every character before it
+is ASCII, so that offset counts characters and bytes alike.
 '^' binds tightest and takes a bare nonnegative integer literal exponent.
 Parentheses and unary minus signs nest at most MAX_NESTING levels deep;
 deeper input is a ParseError at the offending token.  Values stay within
-MAX_DEGREE and MAX_COEFF_BITS, by an estimate of (degree, bits) that the
-parser carries with every value and checks at every operator: literals and
-n count exactly, '^e' multiplies the base's estimate by e, '*' and '/' add
-the operands' estimates, and '+' and '-' add them plus one bit.  '^'
-checks before it builds its result; so do '*' and '/', for a degree past
-MAX_DEGREE however much cancels.  An estimate past a bound is made again
-from the sizes of the actual values (for '+', '-', '*' and '/', of the
-value they built from two operands within the bounds; for '^e', of the
-power itself when its degree is within the bound and e times the base's
-bits is at most twice the bits bound, so that building it stays cheap);
-past a bound again, the input is a ParseError at the operator.  An integer
-literal is checked as it is read.
+MAX_DEGREE and MAX_COEFF_BITS.  Degrees are exact, read off the values:
+'+', '-', '*' and '/' check the degree of the value they built, and '^e'
+checks e times its base's degree before it builds the power; '*' and '/'
+also refuse, before they build it, a result whose degree is past
+MAX_DEGREE however much cancels.  Only bits are estimated: the parser
+carries an estimate with every value and checks it at every operator.
+Literals and n count exactly, '^e' multiplies the base's estimate by e,
+'*' and '/' add the operands' estimates, and '+' and '-' add them plus
+one.  An estimate past the bound is measured again on the actual value
+(for '+', '-', '*' and '/', the value they built; for '^e', the power
+itself when e times the base's bits is at most twice the bound, so that
+building it stays cheap); past the bound again, the input is a ParseError
+at the operator.  An integer literal is checked as it is read.
 The parser evaluates as it reads: each rule returns an exact reduced
-rational function of n with its size estimate, and the '+ -' and '* /'
+rational function of n with its bits estimate, and the '+ -' and '* /'
 loops fold their operands from the left, so a long flat chain needs no
 deep recursion.  A character outside the grammar is reported first,
 wherever it is; otherwise the leftmost fault is reported, a ParseError or
@@ -34,7 +39,7 @@ to the same value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Callable
 
 from .polys import Poly, RatFunc
@@ -57,40 +62,23 @@ class EvalError(ValueError):
         self.offset = offset
 
 
-_OPERATOR_CHARS = "+-*/^()"
+# one match per integer literal, 'n' or operator, run of whitespace, or
+# character outside the grammar
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<op>[-n+*/^()])|[ \t\n\r\f\v]+|(?P<bad>.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "n", an operator char, or "end"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of text, then ("end", "", len(text));
+    kind is "int" for a literal and the token itself otherwise."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("int", text[start:i], start))
-            continue
-        if ch == "n":
-            tokens.append(_Token("n", ch, i))
-            i += 1
-            continue
-        if ch in _OPERATOR_CHARS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", len(text)))
+    for match in _TOKEN.finditer(text):
+        group = match.lastgroup
+        if group == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        if group is not None:
+            token = match.group()
+            tokens.append((group if group == "int" else token, token, match.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -107,141 +95,147 @@ MAX_COEFF_BITS = 4096
 _MAX_LITERAL_DIGITS = len(str(1 << MAX_COEFF_BITS))
 _PAST_DEGREE = f"the value would have degree above {MAX_DEGREE}"
 
-# A value with the (degree, bits) estimate the parser carries for it.
-_Sized = tuple[RatFunc, int, int]
+# A value with the bits estimate the parser carries for it.
+_Sized = tuple[RatFunc, int]
 
 
-def _size(value: RatFunc) -> tuple[int, int]:
-    """Degree and coefficient bits of a value: the larger degree of its
-    numerator and denominator, and a bound on the bit length of every
-    numerator and denominator of their rational coefficients."""
-    degree = bits = 0
+def _degree(value: RatFunc) -> int:
+    """The larger degree of a value's numerator and denominator."""
+    return max(value.num.degree, value.den.degree)
+
+
+def _size(value: RatFunc) -> int:
+    """A bound on the bit length of every numerator and denominator of the
+    rational coefficients of a value's numerator and denominator."""
+    bits = 0
     for p in (value.num, value.den):
         prim = p.primitive
         if prim:
             num, den = p.content.as_integer_ratio()
-            degree = max(degree, len(prim) - 1)
             bits = max(bits, (num * max(prim, key=abs)).bit_length(), den.bit_length())
-    return degree, bits
+    return bits
 
 
-def _bounded(degree: int, bits: int, offset: int, exact: Callable[[], tuple[int, int]]) -> tuple[int, int]:
-    """The estimate (degree, bits) when it is within both bounds; otherwise
-    the one `exact` makes from the sizes of the actual values, and if that
-    is past a bound too, a ParseError at offset."""
-    if degree <= MAX_DEGREE and bits <= MAX_COEFF_BITS:
-        return degree, bits
-    degree, bits = exact()
+def _bounded(degree: int, bits: int, offset: int, exact: Callable[[], int]) -> int:
+    """The bits estimate of a value of the given exact degree when both are
+    within their bounds; past the bits bound, the bits that `exact` measures
+    on the actual value.  A degree, or measured bits, past its bound is a
+    ParseError at offset."""
     if degree > MAX_DEGREE:
         raise ParseError(_PAST_DEGREE, offset)
     if bits > MAX_COEFF_BITS:
-        raise ParseError(f"the value would have coefficients above {MAX_COEFF_BITS} bits", offset)
-    return degree, bits
+        bits = exact()
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(f"the value would have coefficients above {MAX_COEFF_BITS} bits", offset)
+    return bits
 
 
-def _literal(tok: _Token) -> int:
-    digits = tok.text.lstrip("0") or "0"
+def _literal(token: tuple[str, str, int]) -> int:
+    _, text, offset = token
+    digits = text.lstrip("0") or "0"
     if len(digits) <= _MAX_LITERAL_DIGITS:
         value = int(digits)
         if value.bit_length() <= MAX_COEFF_BITS:
             return value
-    raise ParseError(f"integer literal above {MAX_COEFF_BITS} bits", tok.offset)
+    raise ParseError(f"integer literal above {MAX_COEFF_BITS} bits", offset)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
 
     @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    @property
+    def offset(self) -> int:
+        return self.tokens[self.pos][2]
+
+    def advance(self) -> tuple[str, str, int]:
+        token = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return token
 
-    def expect(self, kind: str) -> _Token:
-        if self.current.kind != kind:
-            raise ParseError(f"expected {kind!r}", self.current.offset)
-        return self.advance()
+    def expect(self, kind: str) -> None:
+        if self.kind != kind:
+            raise ParseError(f"expected {kind!r}", self.offset)
+        self.pos += 1
 
     def expr(self) -> _Sized:
-        value, degree, bits = self.term()
-        while self.current.kind in ("+", "-"):
-            op = self.advance()
-            right, deg_r, bits_r = self.term()
-            value = value + right if op.kind == "+" else value - right
-            degree, bits = _bounded(degree + deg_r, bits + bits_r + 1, op.offset, lambda: _size(value))
-        return value, degree, bits
+        value, bits = self.term()
+        while self.kind in ("+", "-"):
+            op, _, offset = self.advance()
+            right, bits_r = self.term()
+            value = value + right if op == "+" else value - right
+            bits = _bounded(_degree(value), bits + bits_r + 1, offset, lambda: _size(value))
+        return value, bits
 
     def term(self) -> _Sized:
-        value, degree, bits = self.factor()
-        while self.current.kind in ("*", "/"):
-            op = self.advance()
-            right, deg_r, bits_r = self.factor()
-            if op.kind == "/" and right.is_zero:
-                raise EvalError("division by an expression that is zero", op.offset)
-            if degree + deg_r > MAX_DEGREE and not (value.is_zero or right.is_zero):
-                top, bottom = (right.num, right.den) if op.kind == "*" else (right.den, right.num)
+        value, bits = self.factor()
+        while self.kind in ("*", "/"):
+            op, _, offset = self.advance()
+            right, bits_r = self.factor()
+            if op == "/" and right.is_zero:
+                raise EvalError("division by an expression that is zero", offset)
+            # a zero operand has degree 0, so it never reaches this check
+            if _degree(value) + _degree(right) > MAX_DEGREE:
+                top, bottom = (right.num, right.den) if op == "*" else (right.den, right.num)
                 # refused before it is built: both pairs are coprime, so what cancels from
                 # value.num * top / (value.den * bottom) divides gcd(value.num, bottom) * gcd(top, value.den)
                 t, u = value.num.degree, value.den.degree
                 cancel = min(t, bottom.degree) + min(top.degree, u)
                 if max(t + top.degree, u + bottom.degree) - cancel > MAX_DEGREE:
-                    raise ParseError(_PAST_DEGREE, op.offset)
-            value = value * right if op.kind == "*" else value / right
-            degree, bits = _bounded(degree + deg_r, bits + bits_r, op.offset, lambda: _size(value))
-        return value, degree, bits
+                    raise ParseError(_PAST_DEGREE, offset)
+            value = value * right if op == "*" else value / right
+            bits = _bounded(_degree(value), bits + bits_r, offset, lambda: _size(value))
+        return value, bits
 
     def factor(self) -> _Sized:
-        value, degree, bits = self.base()
-        if self.current.kind == "^":
-            op = self.advance()
-            if self.current.kind != "int":
-                raise ParseError("exponent must be a nonnegative integer literal", self.current.offset)
+        value, bits = self.base()
+        if self.kind == "^":
+            _, _, offset = self.advance()
+            if self.kind != "int":
+                raise ParseError("exponent must be a nonnegative integer literal", self.offset)
             exponent = _literal(self.advance())
             power = None
 
-            def exact() -> tuple[int, int]:
-                # the degree of a power is exact; its bits are measured on
-                # the power itself while building it is cheap
+            def exact() -> int:
+                # the bits of the power itself, while building it is cheap
                 nonlocal power
-                base_degree, base_bits = _size(value)
-                if exponent * base_degree <= MAX_DEGREE and exponent * base_bits <= 2 * MAX_COEFF_BITS:
-                    power = RatFunc(value.num**exponent, value.den**exponent)
-                    return _size(power)
-                return exponent * base_degree, exponent * base_bits
+                base_bits = _size(value)
+                if exponent * base_bits > 2 * MAX_COEFF_BITS:
+                    return exponent * base_bits
+                power = RatFunc(value.num**exponent, value.den**exponent)
+                return _size(power)
 
-            degree, bits = _bounded(exponent * degree, exponent * bits, op.offset, exact)
+            bits = _bounded(exponent * _degree(value), exponent * bits, offset, exact)
             if power is None:
                 power = RatFunc(value.num**exponent, value.den**exponent)
             value = power
-        return value, degree, bits
+        return value, bits
 
     def base(self) -> _Sized:
-        tok = self.current
-        if tok.kind == "int":
-            self.advance()
-            literal = _literal(tok)
-            return RatFunc.from_poly(Poly.const(literal)), 0, literal.bit_length()
-        if tok.kind == "n":
-            self.advance()
-            return RatFunc.from_poly(Poly.variable()), 1, 1
-        if tok.kind not in ("(", "-"):
-            raise ParseError("expected a number, 'n', '(' or '-'", tok.offset)
+        token = self.advance()
+        kind, _, offset = token
+        if kind == "int":
+            literal = _literal(token)
+            return RatFunc.from_poly(Poly.const(literal)), literal.bit_length()
+        if kind == "n":
+            return RatFunc.from_poly(Poly.variable()), 1
+        if kind not in ("(", "-"):
+            raise ParseError("expected a number, 'n', '(' or '-'", offset)
         if self.depth == MAX_NESTING:
-            raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING} levels", tok.offset)
-        self.advance()
+            raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING} levels", offset)
         self.depth += 1
-        if tok.kind == "(":
+        if kind == "(":
             sized = self.expr()
             self.expect(")")
         else:
-            value, degree, bits = self.factor()
-            sized = -value, degree, bits
+            value, bits = self.factor()
+            sized = -value, bits
         self.depth -= 1
         return sized
 
@@ -252,9 +246,9 @@ def parse_ratfunc(text: str) -> RatFunc:
     Raises ParseError or EvalError with the byte offset of the fault.
     """
     parser = _Parser(_tokenize(text))
-    value, _, _ = parser.expr()
-    if parser.current.kind != "end":
-        raise ParseError("unexpected trailing input", parser.current.offset)
+    value, _ = parser.expr()
+    if parser.kind != "end":
+        raise ParseError("unexpected trailing input", parser.offset)
     return value
 
 

@@ -24,6 +24,9 @@ every other shift.  `poly_solutions_dense` is the undetermined-coefficient
 solve that top-down substitution replaced: the equation divided by the gcd
 of its polynomials, the images of 1, n, ..., n^bound as the columns of one
 dense integer system, and fraction-free elimination on all of it.
+`tokenize_by_characters` is the expression scanner that the one-regex
+scanner replaced: a loop over the characters that takes any `str.isdigit`
+character for a digit and any `str.isspace` character for whitespace.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from fractions import Fraction
 from math import lcm
 
 from ratrec.dispersion import DispersionResult, _gf_roots, _gf_shift_resultant, _root_prime, dispersion, resultant
+from ratrec.expressions import ParseError
 from ratrec.gcdseq import GcdLimit
 from ratrec.intutil import factorize
 from ratrec.linalg import solve_exact
@@ -550,3 +554,28 @@ def poly_solutions_dense(rec: LinearRecurrence) -> SolutionSet:
     particular = Poly(particular_vec) if particular_vec is not None else None
     basis = tuple(Poly(vec) for vec in nullspace)
     return SolutionSet(particular, basis, bound)
+
+
+def tokenize_by_characters(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of text, then ("end", "", len(text)),
+    read one character at a time."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            start = i
+            while i < len(text) and text[i].isdigit():
+                i += 1
+            tokens.append(("int", text[start:i], start))
+            continue
+        if ch == "n" or ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", len(text)))
+    return tokens

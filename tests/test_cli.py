@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, JSON envelopes."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratrec.cli
 from ratrec.cli import build_parser, main
@@ -174,6 +177,22 @@ class TestGosperCommand:
         assert verify_gosper(parse_ratfunc(ratio), RatFunc.reduced(num, den))
 
 
+    def test_each_polynomial_is_formatted_once(self, capsys, monkeypatch):
+        formatted = []
+        poly_str = Poly.__str__
+
+        def spy(p):
+            formatted.append(p)
+            return poly_str(p)
+
+        monkeypatch.setattr(Poly, "__str__", spy)
+        code, payload, _ = run_json(capsys, "gosper", "(4*n+5)/(2*(4*n+1)*(2*n+3))")
+        assert code == 0
+        # g, f and the numerator and denominator of y
+        assert len(formatted) == 4
+        assert payload["result"]["y"]["pretty"] == "(-n - 1/2)/(n + 1/4)"
+
+
 class TestGpRepCommand:
     def test_reports_factors(self, capsys):
         code, payload, _ = run_json(capsys, "gp-rep", "(n+3)/((n+1)*(n+2))")
@@ -263,6 +282,117 @@ class TestVerifyCommands:
         )
         assert code == 1
         assert payload["result"]["verified"] is False
+
+
+class TestReadmeExamples:
+    """The README's CLI examples print these bytes, in text and in JSON."""
+
+    EXAMPLES = [
+        (
+            ("dispersion", "n+2", "(n+1)*(n+2)"),
+            "dispersion = 1\n",
+            {"value": 1, "witnesses": [
+                {"shift": 0, "gcd": {"pretty": "n + 2", "coeffs": ["2/1", "1/1"]}},
+                {"shift": 1, "gcd": {"pretty": "n + 2", "coeffs": ["2/1", "1/1"]}},
+            ]},
+        ),
+        (
+            ("denominator", "--order", "3", "--method", "abramov", EX41_COEFFS[0], EX41_COEFFS[3]),
+            "denominator = n^3 - n\n",
+            {"order": 3, "method": "abramov", "max_shift": 2,
+             "denominator": {"pretty": "n^3 - n", "coeffs": ["0/1", "-1/1", "0/1", "1/1"]}},
+        ),
+        (
+            ("gosper", "(4*n+5)/(2*(4*n+1)*(2*n+3))"),
+            "max shift = 0\ndenominator g = n + 1/4\nnumerator f = -n - 1/2\n"
+            "certificate y = (-n - 1/2)/(n + 1/4)\n",
+            {"max_shift": 0,
+             "g": {"pretty": "n + 1/4", "coeffs": ["1/4", "1/1"]},
+             "f": {"pretty": "-n - 1/2", "coeffs": ["-1/2", "-1/1"]},
+             "y": {"pretty": "(-n - 1/2)/(n + 1/4)",
+                   "num": {"pretty": "-n - 1/2", "coeffs": ["-1/2", "-1/1"]},
+                   "den": {"pretty": "n + 1/4", "coeffs": ["1/4", "1/1"]}},
+             "verified": True},
+        ),
+        (
+            ("gp-rep", "(n+3)/((n+1)*(n+2))"),
+            "num factor = 1\nden factor = n + 1\nshift factor = n + 2\ngosper conditions: ok\ngp conditions: ok\n",
+            {"num_factor": {"pretty": "1", "coeffs": ["1/1"]},
+             "den_factor": {"pretty": "n + 1", "coeffs": ["1/1", "1/1"]},
+             "shift_factor": {"pretty": "n + 2", "coeffs": ["2/1", "1/1"]},
+             "gosper_conditions_ok": True, "gp_conditions_ok": True},
+        ),
+        (
+            ("ratsolve", "--coeffs", *EX41_COEFFS, "--rhs", "0"),
+            "max shift = 2\ndenominator = n^3 - n\nparticular = 0\nhomogeneous[0] = (n - 3/2)/(n^2 - 1)\n",
+            {"max_shift": 2,
+             "denominator": {"pretty": "n^3 - n", "coeffs": ["0/1", "-1/1", "0/1", "1/1"]},
+             "degree_bound": 2,
+             "particular": {"pretty": "0", "num": {"pretty": "0", "coeffs": []},
+                            "den": {"pretty": "1", "coeffs": ["1/1"]}},
+             "homogeneous": [{"pretty": "(n - 3/2)/(n^2 - 1)",
+                              "num": {"pretty": "n - 3/2", "coeffs": ["-3/2", "1/1"]},
+                              "den": {"pretty": "n^2 - 1", "coeffs": ["-1/1", "0/1", "1/1"]}}],
+             "numerator_particular": {"pretty": "0", "coeffs": []},
+             "numerator_basis": [{"pretty": "n^2 - 3/2*n", "coeffs": ["0/1", "-3/2", "1/1"]}]},
+        ),
+        (("verify", "gosper", "(n+1)/n", "(n-1)/2"), "verified: true\n", {"verified": True}),
+        (
+            ("verify", "ratsolve", "--coeffs", *EX41_COEFFS, "--rhs", "0", "--solution", "(2*n-3)/(n^2-1)"),
+            "verified: true\n",
+            {"verified": True},
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, text, result", EXAMPLES, ids=[e[0][0] + str(i) for i, e in enumerate(EXAMPLES)])
+    def test_text_and_json_bytes(self, capsys, argv, text, result):
+        assert run(capsys, *argv) == (0, text, "")
+        command = argv[0] if argv[0] != "verify" else f"verify {argv[1]}"
+        envelope = {"status": "ok", "command": command, "result": result}
+        assert run(capsys, *argv, "--json") == (0, json.dumps(envelope) + "\n", "")
+
+
+# expressions over n, the integers 0-9, + - * /, '^' with exponent at most 3,
+# and parentheses at most three deep; never with a leading '-', which
+# argparse would take for an option
+def _small_expressions(depth: int = 3):
+    atom = st.sampled_from("n0123456789")
+    if depth == 0:
+        return atom
+    inner = _small_expressions(depth - 1)
+    return st.one_of(
+        atom,
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        st.builds("({})".format, inner),
+        st.builds("(-{})".format, inner),
+    )
+
+
+_EXPR = _small_expressions()
+_COMMANDS = st.one_of(
+    st.builds(lambda a, b: ["dispersion", a, b], _EXPR, _EXPR),
+    st.builds(
+        lambda a, b, method, order: ["denominator", a, b, "--method", method, "--order", str(order)],
+        _EXPR, _EXPR, st.sampled_from(["explicit", "abramov", "gp"]), st.integers(1, 3),
+    ),
+    st.builds(lambda r: ["gosper", r], _EXPR),
+    st.builds(lambda r: ["gp-rep", r], _EXPR),
+    st.builds(lambda r, y: ["verify", "gosper", r, y], _EXPR, _EXPR),
+    st.builds(lambda cs, rhs: ["ratsolve", "--coeffs", *cs, "--rhs", rhs], st.lists(_EXPR, min_size=2, max_size=4), _EXPR),
+)
+
+
+class TestSmallGrammarInputs:
+    @settings(max_examples=500)
+    @given(_COMMANDS)
+    def test_no_command_exits_3(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--json"])
+        assert code in (0, 1, 2), err.getvalue()
+        status = json.loads(out.getvalue())["status"]
+        assert status == {0: "ok", 1: "no_solution", 2: "error"}[code]
 
 
 class TestFileInput:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ratrec import polys
 from ratrec.expressions import (
@@ -12,6 +14,7 @@ from ratrec.expressions import (
     MAX_NESTING,
     EvalError,
     ParseError,
+    _tokenize,
     format_value,
     parse_poly,
     parse_ratfunc,
@@ -19,7 +22,7 @@ from ratrec.expressions import (
 from ratrec.polys import Poly, RatFunc
 from ratrec.recurrences import SolutionSet
 
-from oracles import rand_poly, rand_ratfunc
+from oracles import rand_poly, rand_ratfunc, tokenize_by_characters
 
 N = Poly.variable()
 
@@ -171,6 +174,51 @@ class TestParse:
 
     def test_whitespace_ignored(self):
         assert parse_poly(" n +  1/4 ") == N + Fraction(1, 4)
+
+
+class TestScanner:
+    GRAMMAR = "0123456789n+-*/^() \t\n\r\f\v"
+    # characters that neither scanner takes for a digit or for whitespace
+    FOREIGN = "x.!é€"
+
+    @given(st.text(alphabet=GRAMMAR + FOREIGN, max_size=40))
+    def test_same_tokens_as_the_character_loop(self, text):
+        try:
+            expected = tokenize_by_characters(text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as ours:
+                _tokenize(text)
+            assert ours.value.offset == err.offset
+            assert str(ours.value) == str(err)
+        else:
+            assert _tokenize(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("n^²", 2),  # a superscript digit, which int() refuses
+            ("n+٣", 2),  # an Arabic-Indic digit, which int() reads as 3
+            ("n\u2003+ x", 1),  # an em space before an unknown character
+            ("n +\xa01", 3),
+            ("n\x1c", 1),  # an ASCII separator that str.isspace() counts
+            ("n + 1)²", 6),  # refused before the stray ')'
+        ],
+    )
+    def test_non_ascii_digits_and_whitespace_are_refused(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(text)
+        assert err.value.offset == offset
+        assert "unexpected character" in str(err.value)
+
+    @given(st.text(max_size=30) | st.text(alphabet=GRAMMAR + "²٣\u2003\xa0\x1c", max_size=30))
+    def test_any_text_parses_or_is_an_input_error_at_a_byte_offset(self, text):
+        try:
+            value = parse_ratfunc(text)
+        except (ParseError, EvalError) as err:
+            # every character before the offset is ASCII, so it counts bytes
+            assert text[: err.offset].isascii()
+        else:
+            assert isinstance(value, RatFunc)
 
 
 class TestEval:
