@@ -131,8 +131,9 @@ def _cmd_gosper(args) -> tuple[int, dict, list[str]]:
         "g": _poly_json(solution.raw_denominator),
         "f": _poly_json(solution.raw_numerator),
         "y": _ratfunc_json(solution.certificate),
-        "verified": verify_gosper(solution),
     }
+    if args.json:  # the text lines do not print it
+        payload["verified"] = verify_gosper(solution)
     lines = [
         f"max shift = {solution.max_shift}",
         f"denominator g = {payload['g']['pretty']}",

@@ -24,9 +24,10 @@ Literals and n count exactly, '^e' multiplies the base's estimate by e,
 '*' and '/' add the operands' estimates, and '+' and '-' add them plus
 one.  An estimate past the bound is measured again on the actual value
 (for '+', '-', '*' and '/', the value they built; for '^e', the power
-itself when e times the base's bits is at most twice the bound, so that
-building it stays cheap); past the bound again, the input is a ParseError
-at the operator.  An integer literal is checked as it is read.
+itself when the base is 1 or -1 or e times the base's bits is at most
+twice the bound, so that building it stays cheap); past the bound again,
+the input is a ParseError at the operator.  An integer literal is checked
+as it is read.
 The parser evaluates as it reads: each rule returns an exact reduced
 rational function of n with its bits estimate, and the '+ -' and '* /'
 loops fold their operands from the left, so a long flat chain needs no
@@ -206,7 +207,8 @@ class _Parser:
                 # the bits of the power itself, while building it is cheap
                 nonlocal power
                 base_bits = _size(value)
-                if exponent * base_bits > 2 * MAX_COEFF_BITS:
+                unit = value.num.degree == 0 == value.den.degree and abs(value.num.lc) == 1
+                if exponent * base_bits > 2 * MAX_COEFF_BITS and not unit:
                     return exponent * base_bits
                 power = RatFunc(value.num**exponent, value.den**exponent)
                 return _size(power)

@@ -3,11 +3,15 @@ word-sized primes for modular gcds.
 
 The primality test picks the small primes that integer roots and
 dispersions are found modulo, and continues the prime stream past its
-fixed table.  `factorize` (trial division, then Brent's variant of
-Pollard's rho) has no caller in the package: integer roots are found
-modulo a prime, with no divisor enumeration.  It stays only because the
-benchmark's tracer, `perfbench/tracer.py`, looks `factorize` up by name
-when it installs; it goes once that span is retired there.
+fixed table.  `PrimeStream` serves only the modular gcd, which `polys`
+runs past the heuristic gcd's size limit, and the benchmark's tracer,
+`perfbench/tracer.py`, which counts its draws by name as
+`polys.gcd_primes_per_call`.
+`factorize` (trial division, then Brent's variant of Pollard's rho) has
+no caller in the package: integer roots are found modulo a prime, with
+no divisor enumeration.  It stays only because the tracer looks
+`factorize` up by name when it installs.  Both lookups go once the
+benchmark retires those spans and metrics.
 """
 
 from __future__ import annotations

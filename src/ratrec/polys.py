@@ -21,14 +21,24 @@ built on first use and cached; it is a view for printing and for callers
 outside the arithmetic.
 
 GCDs are always returned monic.  The gcd kernel works on the primitive
-parts: each pass runs Euclid modulo a product of primes just below 2^61,
-as many as half the smaller input's coefficient bits call for (one for
-small inputs, at most four), and passes are merged by CRT until the lifted
-candidate divides both inputs exactly.  Euclid modulo a squarefree product
-is Euclid modulo each of its primes at once while every leading
-coefficient is a unit; a modulus that meets a zero divisor is dropped, as
-an unlucky prime is.  The result is identical to the classical monic
-remainder sequence.
+parts and first tries the heuristic gcd of Char, Geddes & Gonnet (GCDHEU,
+J. Symbolic Computation 7, 1989): both inputs are evaluated at xi = 256^w,
+with xi at least twice the smaller input's largest coefficient plus 2, by
+packing their coefficients into w-byte slots; the integer gcd of the two
+values is split back into symmetric xi-adic digits, and the primitive part
+of that polynomial is the gcd when it divides both inputs exactly.  On a
+failed check w doubles.  The loop runs only while the packed value, w
+bytes times the longer input's length, stays within `_HEU_MAX_BITS`; past
+it one CPython integer gcd costs more than Euclid in Python modulo word
+primes, and the modular gcd takes over.  That gcd first tries the shorter
+input as the answer by one exact division, and otherwise runs Euclid
+modulo a product of primes just below 2^61, as many as half the smaller
+input's coefficient bits call for (one for small inputs, at most four);
+passes are merged by CRT until the lifted candidate divides both inputs
+exactly.  Euclid modulo a squarefree product is Euclid modulo each of its
+primes at once while every leading coefficient is a unit; a modulus that
+meets a zero divisor is dropped, as an unlucky prime is.  Both routes
+return the classical monic gcd exactly.
 """
 
 from __future__ import annotations
@@ -68,6 +78,20 @@ _KRONECKER_MIN_LEN = 12
 # 1.42-1.50 s without.
 _GCD_INPUT_BITS_PER_ANSWER_BIT = 2
 _GCD_MODULUS_MAX_BITS = 240
+
+# The heuristic gcd runs only while 8 w * max(len(a), len(b)), the bits of a
+# packed evaluation at xi = 256^w, is at most this; larger gcds take the
+# modular route.  Heuristic over modular time on planted pairs (g*u, g*v,
+# random factors) was 0.15-0.72 up to 72 kbit at degrees 16 to 1000 (and
+# below 0.6 up to 1 Mbit with coefficients of at most 1000 bits), but
+# 1.10-1.13 from 132 kbit at degree 16-32 with 4000-8000-bit coefficients
+# and 1.2-2.0 from 200 kbit with 4000 bits.  Coprime pairs favour the
+# modular route sooner when coefficients are wide, since one pass proves
+# them coprime: 2.1 / 3.2 at 34 / 66 kbit with 2000 bits at degree 16 / 32,
+# but 0.02-0.15 with 64-256 bits at degrees 50 to 1000.  The largest first
+# evaluation among the seed-1 benchmark requests has 30,832 bits.  (2-vCPU
+# Xeon VM, Python 3.11.7.)
+_HEU_MAX_BITS = 1 << 16
 
 
 class Poly:
@@ -345,6 +369,21 @@ def _pack(a: "tuple[int, ...] | list[int]", width: int) -> int:
     return value
 
 
+def _pack_wide(a: "tuple[int, ...] | list[int]", width: int) -> int:
+    """sum a[i] * 256^(width*i) for signed a[i] of any size.
+
+    A coefficient wider than a slot takes s consecutive slots, and those of
+    a[i] and a[i+s] do not overlap, so the value is the sum of s packings of
+    every s-th coefficient into s-slot-wide slots: linear in the input's
+    bytes, where Horner's rule multiplies ever longer integers.
+    """
+    s = -(-_max_bits(a) // (8 * width))
+    if s <= 1:
+        return _pack(a, width)
+    span = s * width
+    return sum([_pack(a[r::s], span) << (8 * width * r) for r in range(min(s, len(a)))])
+
+
 def _unpack(value: int, width: int, count: int) -> list[int]:
     """The `count` signed digits of base 256^width in value, each of absolute
     value below 256^width / 2.
@@ -393,19 +432,25 @@ def _shift_ints(a: "tuple[int, ...] | list[int]", k: int) -> tuple[int, ...]:
 
 
 def _exact_quo_ints(a: tuple[int, ...], b: tuple[int, ...]) -> "list[int] | None":
-    """a / b in Z[n] when b divides a there, else None (b nonzero)."""
+    """a / b in Z[n] when b divides a there, else None (b nonzero).
+
+    A quotient coefficient past Mignotte's bound on the factors of a,
+    2^deg(q) * ||a||_2, proves that b does not divide a, so a failed trial
+    stops before its quotient grows.
+    """
     lb = b[-1]
     db = len(b) - 1
     if len(a) <= db:
         return None if any(a) else []
     rem = list(a)
     quo = [0] * (len(a) - db)
+    limit = _max_bits(a) + len(quo) + len(a).bit_length()
     low = b[:-1]
     for top in range(len(a) - 1, db - 1, -1):
         lead = rem[top]
         if lead:
             q, r = divmod(lead, lb)
-            if r:
+            if r or q.bit_length() > limit:
                 return None
             quo[top - db] = q
             off = top - db
@@ -548,13 +593,61 @@ def _gf_gcd(a: "tuple[int, ...] | list[int]", b: "tuple[int, ...] | list[int]", 
     return [x * inv % p for x in f]
 
 
+def _heu_gcd(a: tuple[int, ...], b: tuple[int, ...], width: int) -> "tuple[int, ...] | None":
+    """The gcd of primitive a, b reconstructed from their values at xi =
+    256^width, or None when that candidate does not divide both.
+
+    xi must be at least 2 * min(||a||_inf, ||b||_inf) + 2.  Then a candidate
+    P that divides both inputs is their gcd G (Char, Geddes & Gonnet): write
+    G = P q.  G(xi) divides the integer gcd, which is c P(xi) for the
+    reconstruction's content c, so q(xi) divides c, and |c| < xi / 2.  The
+    roots of q are roots of the input of smaller norm, inside its Cauchy
+    bound, below xi / 2, so a nonconstant q would have |q(xi)| > xi / 2.
+    """
+    h = math.gcd(_pack_wide(a, width), _pack_wide(b, width))
+    g = _unpack(h, width, h.bit_length() // (8 * width) + 2)
+    while not g[-1]:
+        g.pop()
+    if len(g) == 1:
+        return (1,)
+    content = math.gcd(*g)
+    if g[-1] < 0:
+        content = -content
+    g = tuple([x // content for x in g])
+    if _exact_quo_ints(a, g) is None or _exact_quo_ints(b, g) is None:
+        return None
+    return g
+
+
 def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive gcd in Z[n] of primitive a, b of degree >= 1.
+
+    The heuristic gcd runs at the smallest admissible xi = 256^w and at
+    doubled w after each failed check, while 8 w * max(len(a), len(b)) is
+    at most _HEU_MAX_BITS.  A failure means xi met a spurious common factor
+    of the cofactors' values, a divisor of their resultant, so a wide
+    enough xi always succeeds; the modular gcd answers past the limit."""
+    width = min(_max_bits(a), _max_bits(b)) // 8 + 1
+    length = max(len(a), len(b))
+    while 8 * width * length <= _HEU_MAX_BITS:
+        g = _heu_gcd(a, b, width)
+        if g is not None:
+            return g
+        width *= 2
+    return _modular_gcd(a, b)
+
+
+def _modular_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive gcd in Z[n] of primitive a, b of degree >= 1 (modular CRT).
 
-    Each Euclidean pass runs modulo m, a product of consecutive stream
-    primes sized from the inputs (see _GCD_MODULUS_MAX_BITS).  A modulus
-    that meets a zero divisor is dropped as an unlucky prime is; the exact
-    trial division decides."""
+    The shorter input is the answer when it divides the longer one, which
+    one exact division decides; otherwise each Euclidean pass runs modulo
+    m, a product of consecutive stream primes sized from the inputs (see
+    _GCD_MODULUS_MAX_BITS).  A modulus that meets a zero divisor is dropped
+    as an unlucky prime is; the exact trial division decides."""
+    short, long = (a, b) if len(a) < len(b) else (b, a)
+    if len(short) < len(long) and _exact_quo_ints(long, short) is not None:
+        return short
     la, lb = a[-1], b[-1]
     lc_bound = math.gcd(la, lb)
     estimate = min(_max_bits(a), _max_bits(b)) // _GCD_INPUT_BITS_PER_ANSWER_BIT

@@ -192,6 +192,21 @@ class TestGosperCommand:
         assert len(formatted) == 4
         assert payload["result"]["y"]["pretty"] == "(-n - 1/2)/(n + 1/4)"
 
+    def test_verification_only_for_the_envelope(self, capsys, monkeypatch):
+        verified = []
+
+        def spy(solution):
+            verified.append(solution)
+            return verify_gosper(solution)
+
+        monkeypatch.setattr(ratrec.cli, "verify_gosper", spy)
+        code, out, _ = run(capsys, "gosper", "(4*n+5)/(2*(4*n+1)*(2*n+3))")
+        assert code == 0 and "certificate y = (-n - 1/2)/(n + 1/4)" in out
+        assert verified == []  # text mode prints no verdict
+        code, payload, _ = run_json(capsys, "gosper", "(4*n+5)/(2*(4*n+1)*(2*n+3))")
+        assert code == 0 and payload["result"]["verified"] is True
+        assert len(verified) == 1
+
 
 class TestGpRepCommand:
     def test_reports_factors(self, capsys):

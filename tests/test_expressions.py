@@ -103,6 +103,19 @@ class TestParse:
         assert err.value.offset == 7
         assert "degree above" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, value", [("1^9000", 1), ("(-1)^9000", 1), ("(-1)^9001", -1), ("(n/n)^9000", 1)]
+    )
+    def test_a_power_of_a_unit_is_a_unit(self, text, value):
+        # e times the base's bits is far past the bound, but the value is +-1
+        assert parse_poly(text) == Poly.const(value)
+
+    def test_a_power_past_the_bound_is_still_refused(self):
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc("2^9000")
+        assert err.value.offset == 1
+        assert f"above {MAX_COEFF_BITS} bits" in str(err.value)
+
     def test_coefficient_bound(self):
         assert parse_poly("2^2048") == Poly.const(2**2048)
         with pytest.raises(ParseError) as err:

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ratrec import polys
@@ -15,6 +15,7 @@ from ratrec.denominators import abramov_reduce, gp_reduce
 from ratrec.gcdseq import gcd_limit, universal_denominator
 from ratrec.intutil import CRT_PRIMES, PrimeStream, is_probable_prime
 from ratrec.polys import (
+    _HEU_MAX_BITS,
     _KRONECKER_MIN_LEN,
     Poly,
     divrem,
@@ -157,6 +158,15 @@ def agrees_with_oracle(a: Poly, b: Poly) -> bool:
     return agree(gcd_monic(a, b), FracPoly(a.coeffs).gcd(FracPoly(b.coeffs)))
 
 
+def modular_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd of a and b of degree >= 1 by the modular route alone."""
+    return Poly(polys._modular_gcd(a.primitive, b.primitive)).monic()
+
+
+def modular_agrees_with_oracle(a: Poly, b: Poly) -> bool:
+    return agree(modular_gcd(a, b), FracPoly(a.coeffs).gcd(FracPoly(b.coeffs)))
+
+
 def ascending_small_primes():
     """Primes from 101 up: small enough that a product modulus often meets a
     zero divisor or an unlucky prime."""
@@ -208,9 +218,9 @@ class TestCompositeModulusGcd:
             common = Poly([rng.randint(-(1 << 200), 1 << 200) for _ in range(3)]) + n**3
             a = common * Poly([rng.randint(-(1 << 150), 1 << 150) for _ in range(4)])
             b = common * Poly([rng.randint(-(1 << 150), 1 << 150) for _ in range(5)])
-            assert agrees_with_oracle(a, b)
+            assert modular_agrees_with_oracle(a, b)
         for shift_by, count in ((3, 5), (5, 6)):
-            assert agrees_with_oracle(*closed_form_pair(3, 2, 5, 1, shift_by, count))
+            assert modular_agrees_with_oracle(*closed_form_pair(3, 2, 5, 1, shift_by, count))
         assert raised
 
     def test_planted_pair_takes_two_passes(self, monkeypatch):
@@ -224,11 +234,120 @@ class TestCompositeModulusGcd:
             lengths.append(min(len(a), len(b)))
             return gf_gcd(a, b, m)
 
-        monkeypatch.setattr(polys, "_gf_gcd", spy)
         n = Poly.variable()
         p0 = (3 * n + 2) * (n * n + 5)
-        assert universal_denominator(p0, shift(p0, 21) * (5 * n + 1), 1).degree == 63
+        pd = shift(p0, 21) * (5 * n + 1)
+        closed_form = universal_denominator(p0, pd, 1)
+        assert closed_form.degree == 63
+        monkeypatch.setattr(polys, "_gf_gcd", spy)
+        lead, trail = falling_product(shift(p0, 20), 21), falling_product(shift(pd, -1), 21)
+        # the gcd is the shorter input, which one trial division finds
+        assert modular_gcd(lead, trail) == closed_form
+        assert lengths == []
+        # with a cofactor on that input the passes have to find it
+        assert modular_gcd(lead * (7 * n + 2), trail) == closed_form
         assert 1 <= sum(1 for length in lengths if length > 20) <= 2
+
+
+@st.composite
+def int_polys(draw, lengths, bits, lead_bits=0):
+    """Integer polynomials with a length drawn from `lengths` and coefficients
+    below 2^b in absolute value, b drawn from `bits`; the leading one is at
+    least 2^lead_bits."""
+    length, b = draw(lengths), draw(bits)
+    cs = draw(st.lists(st.integers(-(1 << b), 1 << b), min_size=length - 1, max_size=length - 1))
+    lead = draw(st.integers(1 << lead_bits, max(1 << b, 1 << lead_bits)))
+    return Poly(cs + [lead * draw(st.sampled_from([1, -1]))])
+
+
+small_factors = int_polys(st.integers(1, 5), st.integers(1, 200))
+cofactors = int_polys(st.integers(1, 8), st.integers(1, 200))
+
+
+def gcd_agrees_everywhere(a: Poly, b: Poly) -> None:
+    """gcd_monic against the Fraction oracle and, for inputs of degree >= 1,
+    against the modular route alone."""
+    g = gcd_monic(a, b)
+    assert agree(g, FracPoly(a.coeffs).gcd(FracPoly(b.coeffs)))
+    if a.degree >= 1 and b.degree >= 1:
+        assert g == modular_gcd(a, b)
+
+
+class TestHeuristicGcd:
+    @given(st.lists(big_ints, min_size=1, max_size=12).filter(any), st.integers(1, 6))
+    def test_packing_any_size_is_evaluation(self, cs, width):
+        xi = 256**width
+        assert polys._pack_wide(cs, width) == sum(c * xi**i for i, c in enumerate(cs))
+
+    @given(st.lists(big_ints, min_size=1, max_size=10), st.lists(small_ints, min_size=1, max_size=5).filter(any))
+    def test_exact_quotient_or_none(self, a, b):
+        b = b[: max(i for i, c in enumerate(b) if c) + 1]
+        quo = polys._exact_quo_ints(tuple(a), tuple(b))
+        oq, orem = FracPoly(a).divrem(FracPoly(b))
+        if orem.coeffs or any(c.denominator != 1 for c in oq.coeffs):
+            assert quo is None
+        else:
+            assert FracPoly(quo).coeffs == oq.coeffs
+
+    @given(small_factors, cofactors, cofactors)
+    def test_planted_gcds(self, g, u, v):
+        gcd_agrees_everywhere(g * u, g * v)
+
+    @given(int_polys(st.integers(2, 10), st.integers(1, 300)), int_polys(st.integers(2, 10), st.integers(1, 300)))
+    def test_coprime_pairs(self, a, b):
+        gcd_agrees_everywhere(a, b)
+
+    @settings(max_examples=50)
+    @given(
+        int_polys(st.integers(1, 4), st.integers(1, 30)),
+        int_polys(st.integers(1, 4), st.integers(1, 30)),
+        int_polys(st.integers(1, 6), st.integers(200, 600), lead_bits=200),
+    )
+    def test_norms_far_apart(self, g, u, v):
+        # the wider input's coefficients take several slots of the smaller
+        # norm's xi, so its value is packed split into digits
+        a, b = g * u, g * v
+        assume(polys._max_bits(b.primitive) >= polys._max_bits(a.primitive) + 100)
+        gcd_agrees_everywhere(a, b)
+        gcd_agrees_everywhere(b, a)
+
+    @settings(max_examples=12)
+    @given(
+        st.integers(2, 4),
+        st.integers(2, 8),
+        st.sampled_from([_HEU_MAX_BITS // 2, 2 * _HEU_MAX_BITS]),
+        st.randoms(use_true_random=False),
+    )
+    def test_sizes_on_both_sides_of_the_limit(self, g_len, u_len, size, rng):
+        # inputs whose first evaluation has about `size` bits: the heuristic
+        # answers below the limit and the modular route above it
+        length = g_len + u_len - 1
+        bits = size // (2 * length)
+
+        def draw(k):
+            return Poly([rng.randint(-(1 << bits), 1 << bits) for _ in range(k - 1)] + [rng.randint(1, 1 << bits)])
+
+        g = draw(g_len)
+        a, b = g * draw(u_len), g * draw(u_len)
+        pa, pb = a.primitive, b.primitive
+        first = 8 * (min(polys._max_bits(pa), polys._max_bits(pb)) // 8 + 1) * max(len(pa), len(pb))
+        assume((first <= _HEU_MAX_BITS) == (size < _HEU_MAX_BITS))
+        gcd_agrees_everywhere(a, b)
+
+    def test_a_spurious_factor_takes_the_next_xi(self, monkeypatch):
+        # (n+3)(n-6) and (n+3)(n+44): at xi = 2^8 the integer gcd carries a
+        # spurious factor and reconstructs 51n - 106, which divides neither
+        widths = []
+        heu_gcd = polys._heu_gcd
+
+        def spy(a, b, width):
+            widths.append(width)
+            return heu_gcd(a, b, width)
+
+        monkeypatch.setattr(polys, "_heu_gcd", spy)
+        n = Poly.variable()
+        assert gcd_monic(n * n - 3 * n - 18, n * n + 47 * n + 132) == n + 3
+        assert widths == [1, 2]
 
 
 class TestGcdSequence:
