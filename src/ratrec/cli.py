@@ -21,7 +21,7 @@ import traceback
 
 from .denominators import abramov_reduce, check_gp_rep, gp_rep_from_trace, gp_reduce
 from .dispersion import dispersion
-from .expressions import EvalError, ParseError, parse_poly, parse_ratfunc
+from .expressions import MAX_DEGREE, EvalError, ParseError, parse_poly, parse_ratfunc
 from .gcdseq import gcd_limit
 from .pipelines import gosper, rational_solve, verify_gosper, verify_rational
 from .polys import Poly, RatFunc
@@ -90,6 +90,8 @@ def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
     pd = _nonzero_poly(leading_text, "leading coefficient")
     if args.order < 1:
         raise _CommandError("--order must be at least 1")
+    if args.order > MAX_DEGREE:
+        raise _CommandError(f"--order must be at most {MAX_DEGREE}")
     if args.method == "explicit":
         result = gcd_limit(p0, pd, args.order)
         denominator, steps = result.limit, result.trace

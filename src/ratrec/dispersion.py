@@ -30,7 +30,10 @@ three ways (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5 and
   of p, so the sweep is taken while B - deg R is at most a constant times
   deg R times the bits of p (`_sweeps`).
 
-Each candidate is verified by the gcd that becomes its witness.
+In all three, R stands for the shift resultant of the monic squarefree
+parts f / gcd(f, f') of a and b over GF(p), in place of a and b: it has
+the same roots, and repeated factors do not raise its degree.  Each
+candidate is verified by the gcd over Z that becomes its witness.
 
 `integer_roots` bounds the roots the same way and finds them with the same
 root finder, as symmetric residues modulo a prime above twice the bound,
@@ -39,6 +42,7 @@ and checks every candidate by evaluating the polynomial at it exactly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -167,6 +171,21 @@ def _gf_roots(f: list[int], p: int) -> list[int]:
     return roots
 
 
+def _gf_squarefree(f: tuple[int, ...], p: int) -> list[int]:
+    """The monic f / gcd(f, f') modulo a prime p above deg f >= 1 that does
+    not divide lc f: its squarefree part, as f' keeps its leading term."""
+    inv = pow(f[-1], -1, p)
+    rem = [x * inv % p for x in f]
+    low = _gf_gcd(rem, [i * x for i, x in enumerate(rem)][1:], p)[:-1]
+    quo = []  # divided by the monic gcd h^len(low) + low, highest term first
+    while len(rem) > len(low):
+        c = rem.pop()
+        quo.append(c)
+        off = len(rem) - len(low)
+        rem[off:] = [(x - c * y) % p for x, y in zip(rem[off:], low)]
+    return quo[::-1]
+
+
 def _gf_resultant(f: list[int], g: list[int], p: int) -> int:
     """Res(f, g) over GF(p) for nonzero polynomials mod p, by the Euclidean
     remainder sequence."""
@@ -184,9 +203,9 @@ def _gf_resultant(f: list[int], g: list[int], p: int) -> int:
     return acc * pow(g[0], len(f) - 1, p) % p
 
 
-def _gf_samples(a: tuple[int, ...], b: tuple[int, ...], p: int, count: int) -> list[int]:
+def _gf_samples(a: Sequence[int], b: Sequence[int], p: int, count: int) -> list[int]:
     """R(h) = Res_n(a(n), b(n+h)) mod p at h = 0, 1, ..., count - 1, for
-    integer coefficient tuples whose leading entries p does not divide;
+    integer coefficient sequences whose leading entries p does not divide;
     b is shifted by one between samples."""
     fa = [x % p for x in a]
     fb = [x % p for x in b]
@@ -198,8 +217,8 @@ def _gf_samples(a: tuple[int, ...], b: tuple[int, ...], p: int, count: int) -> l
     return values
 
 
-def _gf_shift_resultant(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
-    """R(h) = Res_n(a(n), b(n+h)) mod p, for integer coefficient tuples whose
+def _gf_shift_resultant(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """R(h) = Res_n(a(n), b(n+h)) mod p, for integer coefficient sequences whose
     leading entries p does not divide and p > deg a * deg b.
 
     Samples R at h = 0, 1, ..., deg a * deg b and interpolates in Newton
@@ -263,7 +282,7 @@ def _sweeps(bound: int, top: int, p: int) -> bool:
     return bound - top <= _SWEEP_STEPS_PER_ROOT_WORK * top * p.bit_length()
 
 
-def _shift_candidates(a: tuple[int, ...], b: tuple[int, ...], bound: int, p: int) -> list[int]:
+def _shift_candidates(a: Sequence[int], b: Sequence[int], bound: int, p: int) -> list[int]:
     """The h in [0, bound] with Res_n(a(n), b(n+h)) = 0 mod p, ascending, for
     p > max(2 bound, deg a * deg b) dividing neither leading entry."""
     top = (len(a) - 1) * (len(b) - 1)
@@ -317,7 +336,7 @@ def dispersion(a: Poly, b: Poly) -> DispersionResult:
     bound = _root_bound(pa) + _root_bound(pb)
     prime = _root_prime(max(2 * bound, (len(pa) - 1) * (len(pb) - 1)), pa[-1], pb[-1])
     witnesses = []
-    for k in _shift_candidates(pa, pb, bound, prime):
+    for k in _shift_candidates(_gf_squarefree(pa, prime), _gf_squarefree(pb, prime), bound, prime):
         g = gcd_monic(a, shift(b, k))
         if g.degree >= 1:
             witnesses.append((k, g))

@@ -13,35 +13,26 @@ other character is a ParseError at its offset; every character before it
 is ASCII, so that offset counts characters and bytes alike.
 '^' binds tightest and takes a bare nonnegative integer literal exponent.
 Parentheses and unary minus signs nest at most MAX_NESTING levels deep;
-deeper input is a ParseError at the offending token.  Values stay within
-MAX_DEGREE and MAX_COEFF_BITS.  Degrees are exact, read off the values:
-'+', '-', '*' and '/' check the degree of the value they built, and '^e'
-checks e times its base's degree before it builds the power; '*' and '/'
-also refuse, before they build it, a result whose degree is past
-MAX_DEGREE however much cancels.  Only bits are estimated: the parser
-carries an estimate with every value and checks it at every operator.
-Literals and n count exactly, '^e' multiplies the base's estimate by e,
-'*' and '/' add the operands' estimates, and '+' and '-' add them plus
-one.  An estimate past the bound is measured again on the actual value
-(for '+', '-', '*' and '/', the value they built; for '^e', the power
-itself when the base is 1 or -1 or e times the base's bits is at most
-twice the bound, so that building it stays cheap); past the bound again,
-the input is a ParseError at the operator.  An integer literal is checked
-as it is read.
+deeper input is a ParseError at the offending token.
+Values stay within MAX_DEGREE and MAX_COEFF_BITS, measured exactly: an
+integer literal is checked as it is read, and every operator checks the
+degree and bits of the value it built, a ParseError at the operator past
+either bound.  Two refusals come first, so that building stays cheap: '*'
+and '/' refuse a degree past MAX_DEGREE however much cancels, and '^e'
+refuses e times its base's degree past MAX_DEGREE or, unless the base is
+1 or -1, e times its base's bits past twice MAX_COEFF_BITS.
 The parser evaluates as it reads: each rule returns an exact reduced
-rational function of n with its bits estimate, and the '+ -' and '* /'
-loops fold their operands from the left, so a long flat chain needs no
-deep recursion.  A character outside the grammar is reported first,
-wherever it is; otherwise the leftmost fault is reported, a ParseError or
-an EvalError for division by zero.  Formatting writes polynomials in
-descending powers with rational coefficients, and the output parses back
-to the same value.
+rational function of n, and the '+ -' and '* /' loops fold their operands
+from the left, so a long flat chain needs no deep recursion.  A character
+outside the grammar is reported first, wherever it is; otherwise the
+leftmost fault is reported, a ParseError or an EvalError for division by
+zero.  Formatting writes polynomials in descending powers with rational
+coefficients, and the output parses back to the same value.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 from .polys import Poly, RatFunc
 from .recurrences import SolutionSet
@@ -95,9 +86,7 @@ MAX_COEFF_BITS = 4096
 # a literal with more digits than 2^MAX_COEFF_BITS is past the bound unread
 _MAX_LITERAL_DIGITS = len(str(1 << MAX_COEFF_BITS))
 _PAST_DEGREE = f"the value would have degree above {MAX_DEGREE}"
-
-# A value with the bits estimate the parser carries for it.
-_Sized = tuple[RatFunc, int]
+_PAST_BITS = f"the value would have coefficients above {MAX_COEFF_BITS} bits"
 
 
 def _degree(value: RatFunc) -> int:
@@ -117,18 +106,14 @@ def _size(value: RatFunc) -> int:
     return bits
 
 
-def _bounded(degree: int, bits: int, offset: int, exact: Callable[[], int]) -> int:
-    """The bits estimate of a value of the given exact degree when both are
-    within their bounds; past the bits bound, the bits that `exact` measures
-    on the actual value.  A degree, or measured bits, past its bound is a
-    ParseError at offset."""
-    if degree > MAX_DEGREE:
+def _checked(value: RatFunc, offset: int) -> RatFunc:
+    """value, when its degree and bits are within their bounds; otherwise
+    a ParseError at offset."""
+    if _degree(value) > MAX_DEGREE:
         raise ParseError(_PAST_DEGREE, offset)
-    if bits > MAX_COEFF_BITS:
-        bits = exact()
-        if bits > MAX_COEFF_BITS:
-            raise ParseError(f"the value would have coefficients above {MAX_COEFF_BITS} bits", offset)
-    return bits
+    if _size(value) > MAX_COEFF_BITS:
+        raise ParseError(_PAST_BITS, offset)
+    return value
 
 
 def _literal(token: tuple[str, str, int]) -> int:
@@ -165,20 +150,19 @@ class _Parser:
             raise ParseError(f"expected {kind!r}", self.offset)
         self.pos += 1
 
-    def expr(self) -> _Sized:
-        value, bits = self.term()
+    def expr(self) -> RatFunc:
+        value = self.term()
         while self.kind in ("+", "-"):
             op, _, offset = self.advance()
-            right, bits_r = self.term()
-            value = value + right if op == "+" else value - right
-            bits = _bounded(_degree(value), bits + bits_r + 1, offset, lambda: _size(value))
-        return value, bits
+            right = self.term()
+            value = _checked(value + right if op == "+" else value - right, offset)
+        return value
 
-    def term(self) -> _Sized:
-        value, bits = self.factor()
+    def term(self) -> RatFunc:
+        value = self.factor()
         while self.kind in ("*", "/"):
             op, _, offset = self.advance()
-            right, bits_r = self.factor()
+            right = self.factor()
             if op == "/" and right.is_zero:
                 raise EvalError("division by an expression that is zero", offset)
             # a zero operand has degree 0, so it never reaches this check
@@ -190,56 +174,44 @@ class _Parser:
                 cancel = min(t, bottom.degree) + min(top.degree, u)
                 if max(t + top.degree, u + bottom.degree) - cancel > MAX_DEGREE:
                     raise ParseError(_PAST_DEGREE, offset)
-            value = value * right if op == "*" else value / right
-            bits = _bounded(_degree(value), bits + bits_r, offset, lambda: _size(value))
-        return value, bits
+            value = _checked(value * right if op == "*" else value / right, offset)
+        return value
 
-    def factor(self) -> _Sized:
-        value, bits = self.base()
+    def factor(self) -> RatFunc:
+        value = self.base()
         if self.kind == "^":
             _, _, offset = self.advance()
             if self.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", self.offset)
             exponent = _literal(self.advance())
-            power = None
+            # refused before it is built; a power of 1 or -1 is 1 or -1
+            if exponent * _degree(value) > MAX_DEGREE:
+                raise ParseError(_PAST_DEGREE, offset)
+            unit = _degree(value) == 0 and abs(value.num.lc) == 1
+            if not unit and exponent * _size(value) > 2 * MAX_COEFF_BITS:
+                raise ParseError(_PAST_BITS, offset)
+            value = _checked(RatFunc(value.num**exponent, value.den**exponent), offset)
+        return value
 
-            def exact() -> int:
-                # the bits of the power itself, while building it is cheap
-                nonlocal power
-                base_bits = _size(value)
-                unit = value.num.degree == 0 == value.den.degree and abs(value.num.lc) == 1
-                if exponent * base_bits > 2 * MAX_COEFF_BITS and not unit:
-                    return exponent * base_bits
-                power = RatFunc(value.num**exponent, value.den**exponent)
-                return _size(power)
-
-            bits = _bounded(exponent * _degree(value), exponent * bits, offset, exact)
-            if power is None:
-                power = RatFunc(value.num**exponent, value.den**exponent)
-            value = power
-        return value, bits
-
-    def base(self) -> _Sized:
+    def base(self) -> RatFunc:
         token = self.advance()
         kind, _, offset = token
         if kind == "int":
-            literal = _literal(token)
-            return RatFunc.from_poly(Poly.const(literal)), literal.bit_length()
+            return RatFunc.from_poly(Poly.const(_literal(token)))
         if kind == "n":
-            return RatFunc.from_poly(Poly.variable()), 1
+            return RatFunc.from_poly(Poly.variable())
         if kind not in ("(", "-"):
             raise ParseError("expected a number, 'n', '(' or '-'", offset)
         if self.depth == MAX_NESTING:
             raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING} levels", offset)
         self.depth += 1
         if kind == "(":
-            sized = self.expr()
+            value = self.expr()
             self.expect(")")
         else:
-            value, bits = self.factor()
-            sized = -value, bits
+            value = -self.factor()
         self.depth -= 1
-        return sized
+        return value
 
 
 def parse_ratfunc(text: str) -> RatFunc:
@@ -248,7 +220,7 @@ def parse_ratfunc(text: str) -> RatFunc:
     Raises ParseError or EvalError with the byte offset of the fault.
     """
     parser = _Parser(_tokenize(text))
-    value, _ = parser.expr()
+    value = parser.expr()
     if parser.kind != "end":
         raise ParseError("unexpected trailing input", parser.offset)
     return value

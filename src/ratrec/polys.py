@@ -752,6 +752,10 @@ class RatFunc:
         return self.num.is_zero
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        x, y = (other, self) if self.den.degree == 0 else (self, other)
+        if y.den.degree == 0:
+            # a/b + c = (a + c*b)/b is reduced: gcd(a + c*b, b) = gcd(a, b) = 1
+            return RatFunc(x.num + y.num * x.den, x.den)
         return RatFunc.reduced(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
@@ -761,6 +765,8 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        if self.den.degree == 0 == other.den.degree:
+            return RatFunc(self.num * other.num, _ONE)
         return RatFunc.reduced(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":

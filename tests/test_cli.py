@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ratrec.cli
 from ratrec.cli import build_parser, main
-from ratrec.expressions import MAX_NESTING, parse_ratfunc
+from ratrec.expressions import MAX_DEGREE, MAX_NESTING, parse_ratfunc
 from ratrec.pipelines import verify_gosper
 from ratrec.polys import Poly, RatFunc
 
@@ -109,6 +109,13 @@ class TestDenominatorCommand:
         )
         assert code == 2
         assert "order 1" in err
+
+    @pytest.mark.parametrize("order", [MAX_DEGREE + 1, 10**100])
+    def test_order_past_the_degree_bound_is_refused(self, capsys, order):
+        # shifting by 10^100 took a minute before the order was bounded
+        code, _, err = run(capsys, "denominator", "--order", str(order), "n^20+1", "n^20+3")
+        assert code == 2
+        assert f"at most {MAX_DEGREE}" in err
 
     def test_order_three_coefficients(self, capsys):
         code, payload, _ = run_json(

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ratrec.dispersion import (
     DispersionResult,
     _gf_shift_resultant,
+    _gf_squarefree,
     _gf_sweep_zeros,
     _root_bound,
     _root_prime,
@@ -316,10 +317,11 @@ def path_of(a, b):
     """Which way `dispersion` reads off the candidate shifts of (a, b)."""
     pa, pb = a.primitive, b.primitive
     bound = _root_bound(pa) + _root_bound(pb)
-    top = int(a.degree * b.degree)
+    prime = _root_prime(max(2 * bound, int(a.degree * b.degree)), pa[-1], pb[-1])
+    # R is the shift resultant of the squarefree parts modulo the prime
+    top = (len(_gf_squarefree(pa, prime)) - 1) * (len(_gf_squarefree(pb, prime)) - 1)
     if bound <= top:
         return "samples"
-    prime = _root_prime(max(2 * bound, top), pa[-1], pb[-1])
     return "sweep" if _sweeps(bound, top, prime) else "roots"
 
 
@@ -371,7 +373,27 @@ def far_root_pairs(draw):
     return a * draw(scales), b
 
 
+@st.composite
+def repeated_factor_pairs(draw):
+    """(a, b) of degree at most 14 holding a factor to a power from 2 to 6,
+    b often holding it shifted by up to 20, to a power of its own."""
+    factor = st.sampled_from(linear_factors([0, 1, -3, 7]) + [Poly((1, 2)), Poly((1, 0, 1))])
+    shared = draw(factor)
+    powers = st.integers(2, 6)
+    a = product([shared ** draw(powers), draw(factor)], draw(scales))
+    b = product([shift(shared, -draw(st.integers(0, 20))) ** draw(powers), draw(factor)], draw(scales))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
 class TestAgainstInterpolation:
+    @settings(max_examples=50)
+    @given(repeated_factor_pairs())
+    def test_repeated_factors(self, pair):
+        # the candidates come from the squarefree parts, the oracle's from
+        # the resultant of the inputs themselves
+        a, b = pair
+        assert dispersion(a, b) == dispersion_by_interpolation(a, b)
+
     @given(low_bound_pairs())
     def test_samples_alone(self, pair):
         a, b = pair

@@ -14,6 +14,7 @@ from ratrec.expressions import (
     MAX_NESTING,
     EvalError,
     ParseError,
+    _size,
     _tokenize,
     format_value,
     parse_poly,
@@ -25,6 +26,28 @@ from ratrec.recurrences import SolutionSet
 from oracles import rand_poly, rand_ratfunc, tokenize_by_characters
 
 N = Poly.variable()
+
+# literals of up to MAX_COEFF_BITS bits, often near a half or a quarter of
+# it, so that one or two operators reach the bound, with n and the
+# operators, powers and parentheses of the grammar
+_LITERAL_BITS = st.integers(1, MAX_COEFF_BITS) | st.sampled_from(
+    [MAX_COEFF_BITS // 4, MAX_COEFF_BITS // 2 - 1, MAX_COEFF_BITS // 2, MAX_COEFF_BITS - 1, MAX_COEFF_BITS]
+)
+_ATOMS = st.one_of(
+    st.just("n"),
+    st.integers(0, 9).map(str),
+    st.builds(lambda bits, low: str((1 << bits) - low), _LITERAL_BITS, st.integers(0, 3)),
+)
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 4)),
+        st.builds("({})".format, inner),
+        st.builds("-({})".format, inner),
+    ),
+    max_leaves=8,
+)
 
 
 class TestParse:
@@ -130,8 +153,8 @@ class TestParse:
         assert err.value.offset == 2
 
     def test_power_at_the_coefficient_bound(self):
-        # the estimate counts 2 and 3 as 2 bits each; the powers themselves
-        # decide, at and just past the bound
+        # e times the bits of 2 or 3 is within twice the bound, so each power
+        # is built and measured, at and just past the bound
         top3 = max(e for e in range(3000) if (3**e).bit_length() <= MAX_COEFF_BITS)
         assert parse_poly(f"2^{MAX_COEFF_BITS - 1}") == Poly.const(2 ** (MAX_COEFF_BITS - 1))
         assert parse_poly("3^2583") == Poly.const(3**2583)
@@ -147,7 +170,8 @@ class TestParse:
         assert "degree above" in str(err.value)
 
     def test_product_and_quotient_at_the_bounds(self):
-        # the estimates add the operands' sizes; the values built decide
+        # each product and quotient is measured as built, so operands whose
+        # bits add up past the bound still give a value at the bound
         top = 2 ** (MAX_COEFF_BITS - 1)
         assert parse_poly(f"2^{MAX_COEFF_BITS - 1}*n") == N * top
         assert parse_poly("(2^2048)*(2^2047)") == Poly.const(top)
@@ -161,6 +185,25 @@ class TestParse:
             with pytest.raises(ParseError) as err:
                 parse_ratfunc(left + right)
             assert err.value.offset == len(left)
+
+    @pytest.mark.parametrize(
+        "text", ["(2^2047*(1+n+n^2+n^3))^2", "(2^2047*(1+n+n^2+n^3))*(2^2047*(1+n+n^2+n^3))"]
+    )
+    def test_a_square_of_a_sum_past_the_coefficient_bound(self, text):
+        # (1+n+n^2+n^3)^2 has the coefficient 4, so the value has 4097 bits
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(text)
+        assert err.value.offset == 22
+        assert f"above {MAX_COEFF_BITS} bits" in str(err.value)
+
+    @given(_EXPRESSIONS)
+    def test_every_value_is_within_the_bounds(self, text):
+        try:
+            value = parse_ratfunc(text)
+        except (ParseError, EvalError):  # an EvalError is a division by zero
+            return
+        assert max(value.num.degree, value.den.degree) <= MAX_DEGREE
+        assert _size(value) <= MAX_COEFF_BITS
 
     def test_past_degree_product_is_refused_before_it_is_built(self, monkeypatch):
         shorter = []

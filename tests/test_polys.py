@@ -18,7 +18,7 @@ from ratrec.polys import (
     shift,
 )
 
-from oracles import monic_ers_gcd, rand_poly
+from oracles import monic_ers_gcd, rand_poly, rand_ratfunc
 
 N = Poly.variable()
 
@@ -167,7 +167,28 @@ class TestRingAxioms:
         assert a * b == b * a
 
 
+@st.composite
+def ratfuncs(draw):
+    """rand_ratfunc's values, with polynomials, constants and zero forced in."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    value = rand_ratfunc(rng)
+    kind = draw(st.sampled_from(["ratio", "poly", "const", "zero"]))
+    if kind == "poly":
+        return RatFunc.from_poly(value.num)
+    if kind == "const":
+        return RatFunc.from_poly(Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    return RatFunc.zero() if kind == "zero" else value
+
+
 class TestRatFunc:
+    @given(ratfuncs(), ratfuncs())
+    def test_arithmetic_equals_reducing_the_unreduced_forms(self, x, y):
+        # a polynomial summand or a product of polynomials skips the gcd
+        (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+        assert x + y == RatFunc.reduced(a * d + c * b, b * d)
+        assert x - y == RatFunc.reduced(a * d - c * b, b * d)
+        assert x * y == RatFunc.reduced(a * c, b * d)
+
     def test_cancels_common_factor(self):
         num = (N + 3) * (N + 1)
         den = (N + 1) * (N + 2) * (N + 1)
