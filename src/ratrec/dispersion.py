@@ -34,6 +34,7 @@ In all three, R stands for the shift resultant of the monic squarefree
 parts f / gcd(f, f') of a and b over GF(p), in place of a and b: it has
 the same roots, and repeated factors do not raise its degree.  Each
 candidate is verified by the gcd over Z that becomes its witness.
+`dispersion` memoizes its results on the primitive parts of its inputs.
 
 `integer_roots` bounds the roots the same way and finds them with the same
 root finder, as symmetric residues modulo a prime above twice the bound,
@@ -45,10 +46,23 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from .intutil import is_probable_prime
-from .polys import Poly, _gf_gcd, _gf_monic_low, _gf_rem, _gf_rem_monic, _mul_ints, _shift_ints, divrem, gcd_monic, shift
+from .polys import (
+    Poly,
+    _gf_gcd,
+    _gf_monic_low,
+    _gf_rem,
+    _gf_rem_monic,
+    _make,
+    _mul_ints,
+    _shift_ints,
+    divrem,
+    gcd_monic,
+    shift,
+)
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:
@@ -326,13 +340,35 @@ class DispersionResult:
     witnesses: tuple[tuple[int, Poly], ...]
 
 
+# The memo's entries.  One equation's routes ask for two pairs: the
+# coefficient pair (pd(n-d), p0(n)), shared by `gcd_limit`,
+# `universal_denominator`, `abramov_reduce` and, at order 1,
+# `gp_rep_from_trace`, and the pair `check_gp_rep` tests for shift
+# coprimality.  Eight entries keep those of the last four equations: the
+# memo shares work within an equation, it is not a cache of past requests.
+_MEMO_ENTRIES = 8
+
+
 def dispersion(a: Poly, b: Poly) -> DispersionResult:
-    """Largest k >= 0 with deg gcd(a(n), b(n+k)) >= 1, or -1 if none."""
+    """Largest k >= 0 with deg gcd(a(n), b(n+k)) >= 1, or -1 if none.
+
+    The value and the monic witness gcds depend only on the primitive parts
+    of a and b, so the work is memoized on those (`_MEMO_ENTRIES` of the
+    most recent pairs): the routes to a universal denominator all start
+    from the same pair and share one computation.  A `DispersionResult` is
+    immutable, so every caller may hold the same one.
+    """
     if a.is_zero or b.is_zero:
         raise ValueError("dispersion of a zero polynomial is undefined")
     if a.degree == 0 or b.degree == 0:
         return DispersionResult(-1, ())
-    pa, pb = a.primitive, b.primitive
+    return _dispersion(a.primitive, b.primitive)
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _dispersion(pa: tuple[int, ...], pb: tuple[int, ...]) -> DispersionResult:
+    """The dispersion of the primitive polynomials pa and pb of degree >= 1."""
+    a, b = _make(Fraction(1), pa), _make(Fraction(1), pb)
     bound = _root_bound(pa) + _root_bound(pb)
     prime = _root_prime(max(2 * bound, (len(pa) - 1) * (len(pb) - 1)), pa[-1], pb[-1])
     witnesses = []

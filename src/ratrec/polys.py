@@ -22,23 +22,28 @@ outside the arithmetic.
 
 GCDs are always returned monic.  The gcd kernel works on the primitive
 parts and first tries the heuristic gcd of Char, Geddes & Gonnet (GCDHEU,
-J. Symbolic Computation 7, 1989): both inputs are evaluated at xi = 256^w,
-with xi at least twice the smaller input's largest coefficient plus 2, by
-packing their coefficients into w-byte slots; the integer gcd of the two
-values is split back into symmetric xi-adic digits, and the primitive part
-of that polynomial is the gcd when it divides both inputs exactly.  On a
-failed check w doubles.  The loop runs only while the packed value, w
-bytes times the longer input's length, stays within `_HEU_MAX_BITS`; past
-it one CPython integer gcd costs more than Euclid in Python modulo word
-primes, and the modular gcd takes over.  That gcd first tries the shorter
-input as the answer by one exact division, and otherwise runs Euclid
-modulo a product of primes just below 2^61, as many as half the smaller
-input's coefficient bits call for (one for small inputs, at most four);
-passes are merged by CRT until the lifted candidate divides both inputs
-exactly.  Euclid modulo a squarefree product is Euclid modulo each of its
-primes at once while every leading coefficient is a unit; a modulus that
-meets a zero divisor is dropped, as an unlucky prime is.  Both routes
-return the classical monic gcd exactly.
+J. Symbolic Computation 7, 1989): both inputs are evaluated at xi = 256^w
+by packing their coefficients into w-byte slots; the integer gcd of the
+two values is split back into symmetric xi-adic digits, and the primitive
+part of that polynomial is the gcd when it divides both inputs exactly.
+The smallest admissible w, with xi at least twice the smaller input's
+largest coefficient plus 2, chooses the route: the heuristic runs only
+while that packed value, w bytes times the longer input's length, stays
+within `_HEU_MAX_BITS`; past it one CPython integer gcd costs more than
+Euclid in Python modulo word primes, and the modular gcd takes over.  The
+first evaluation is 64 bits wider than that smallest xi
+(`_HEU_HEADROOM_BYTES`, cut to what the size limit leaves), so that a
+small factor the cofactors' values share seldom spoils it; on a failed
+check w doubles, while the value stays within the limit.  The modular gcd
+first tries the shorter input as the answer by one exact division.  Its
+first Euclidean pass runs modulo one prime just below 2^61, which proves
+most coprime pairs coprime; the later ones run modulo a product of such
+primes, as many as half the smaller input's coefficient bits call for (at
+most four), and every image is merged by CRT until the lifted candidate
+divides both inputs exactly.  Euclid modulo a squarefree product is
+Euclid modulo each of its primes at once while every leading coefficient
+is a unit; a modulus that meets a zero divisor is dropped, as an unlucky
+prime is.  Both routes return the classical monic gcd exactly.
 """
 
 from __future__ import annotations
@@ -62,11 +67,11 @@ _new = object.__new__
 # factors into one integer rather than running the schoolbook loops
 _KRONECKER_MIN_LEN = 12
 
-# A gcd pass runs modulo a product of CRT primes meant to hold the answer
-# in one pass: at least the smaller input's coefficient bits divided by
-# _GCD_INPUT_BITS_PER_ANSWER_BIT, plus the bits of the leading-coefficient
-# bound and 2, but never more than _GCD_MODULUS_MAX_BITS (and never less
-# than one prime).  On the 120 closed-form gcds of seed-1
+# A modular gcd pass after the first, one-prime pass runs modulo a product
+# of CRT primes meant to hold the answer in one pass: at least the smaller
+# input's coefficient bits divided by _GCD_INPUT_BITS_PER_ANSWER_BIT, plus
+# the bits of the leading-coefficient bound and 2, but never more than
+# _GCD_MODULUS_MAX_BITS (and never less than one prime).  On the 120 closed-form gcds of seed-1
 # `denominators-wide` requests (degree about 60), the answer had a median
 # 0.54 times the smaller input's bits, and one pass modulo 61 / 122 / 183 /
 # 244 bits took 1.1-1.7 / 1.6-2.4 / 2.3-3.1 / 2.5-3.7 ms (2-vCPU Xeon VM,
@@ -92,6 +97,24 @@ _GCD_MODULUS_MAX_BITS = 240
 # evaluation among the seed-1 benchmark requests has 30,832 bits.  (2-vCPU
 # Xeon VM, Python 3.11.7.)
 _HEU_MAX_BITS = 1 << 16
+
+# The heuristic gcd starts this many bytes wider than the smallest admissible
+# xi; the size rule above still reads the smallest, so no gcd changes route.
+# At the smallest xi the cofactors' values often share a small factor, which
+# pushes the reconstruction past xi / 2 and costs a second evaluation at
+# twice the width.  Replaying every gcd of seed-1 benchmark requests, 2 % of
+# the gosper-cli calls, 14 % of ratsolve-planted and 6 % of
+# denominators-wide took two or more, and 39 of the 48 closed-form gcds of
+# `universal_denominator`; with 64 bits of headroom none did, and the replays
+# took 75 / 91 / 85 ms at the smallest xi against 77 / 80 / 61 ms (best of
+# 7), the closed-form gcds 1.73 against 1.13 ms each.  One bit of headroom
+# per coefficient of the longer input did about as well there (71 / 75 /
+# 63 ms, 1.22 ms), but it grows with the square of the length.  The
+# headroom is cut to what the size limit leaves, because on long inputs with
+# narrow coefficients it would multiply the evaluation: a degree-8000 gcd
+# with 4-bit coefficients took 8 ms at the smallest xi and 154 ms 64 bits
+# wider.  (2-vCPU Xeon VM, Python 3.11.7.)
+_HEU_HEADROOM_BYTES = 8
 
 
 class Poly:
@@ -622,18 +645,25 @@ def _heu_gcd(a: tuple[int, ...], b: tuple[int, ...], width: int) -> "tuple[int, 
 def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive gcd in Z[n] of primitive a, b of degree >= 1.
 
-    The heuristic gcd runs at the smallest admissible xi = 256^w and at
-    doubled w after each failed check, while 8 w * max(len(a), len(b)) is
-    at most _HEU_MAX_BITS.  A failure means xi met a spurious common factor
-    of the cofactors' values, a divisor of their resultant, so a wide
-    enough xi always succeeds; the modular gcd answers past the limit."""
+    The route is read off the smallest admissible xi = 256^w: the heuristic
+    gcd runs when 8 w * max(len(a), len(b)) is at most _HEU_MAX_BITS, and
+    the modular gcd answers otherwise.  The heuristic starts
+    _HEU_HEADROOM_BYTES wider than that w, or as wide as the limit allows
+    if that is less, and doubles the width after each failed check while
+    it stays within the limit.  A
+    failure means xi met a spurious common factor of the cofactors' values,
+    a divisor of their resultant, so a wide enough xi always succeeds."""
     width = min(_max_bits(a), _max_bits(b)) // 8 + 1
     length = max(len(a), len(b))
-    while 8 * width * length <= _HEU_MAX_BITS:
-        g = _heu_gcd(a, b, width)
-        if g is not None:
-            return g
-        width *= 2
+    if 8 * width * length <= _HEU_MAX_BITS:
+        width = min(width + _HEU_HEADROOM_BYTES, _HEU_MAX_BITS // (8 * length))
+        while True:
+            g = _heu_gcd(a, b, width)
+            if g is not None:
+                return g
+            width *= 2
+            if 8 * width * length > _HEU_MAX_BITS:
+                break
     return _modular_gcd(a, b)
 
 
@@ -641,10 +671,13 @@ def _modular_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive gcd in Z[n] of primitive a, b of degree >= 1 (modular CRT).
 
     The shorter input is the answer when it divides the longer one, which
-    one exact division decides; otherwise each Euclidean pass runs modulo
-    m, a product of consecutive stream primes sized from the inputs (see
-    _GCD_MODULUS_MAX_BITS).  A modulus that meets a zero divisor is dropped
-    as an unlucky prime is; the exact trial division decides."""
+    one exact division decides.  Otherwise the first Euclidean pass runs
+    modulo one word prime: a gcd of 1 there proves the inputs coprime, and
+    any other image joins the CRT like every later one.  Each later pass
+    runs modulo m, a product of consecutive stream primes sized from the
+    inputs (see _GCD_MODULUS_MAX_BITS).  A modulus that meets a zero
+    divisor is dropped as an unlucky prime is; the exact trial division
+    decides."""
     short, long = (a, b) if len(a) < len(b) else (b, a)
     if len(short) < len(long) and _exact_quo_ints(long, short) is not None:
         return short
@@ -656,7 +689,8 @@ def _modular_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     modulus = 1
     primes = PrimeStream()
     for m in primes:
-        while m.bit_length() < need:
+        # the first pass runs modulo one prime, enough to prove coprimality
+        while acc is not None and m.bit_length() < need:
             m *= next(primes)
         if math.gcd(la, m) != 1 or math.gcd(lb, m) != 1:
             continue

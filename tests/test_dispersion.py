@@ -1,13 +1,17 @@
 """Resultants, integer roots, dispersion."""
 
+import importlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ratrec.denominators import abramov_reduce, gp_rep_from_trace
 from ratrec.dispersion import (
+    _MEMO_ENTRIES,
     DispersionResult,
     _gf_shift_resultant,
     _gf_squarefree,
@@ -19,6 +23,7 @@ from ratrec.dispersion import (
     integer_roots,
     resultant,
 )
+from ratrec.gcdseq import gcd_limit, universal_denominator
 from ratrec.polys import Poly, gcd_monic, shift
 
 from oracles import (
@@ -31,6 +36,9 @@ from oracles import (
     rand_poly_int_roots,
     sylvester_resultant,
 )
+
+# `ratrec.dispersion` the attribute is the function; the module is looked up
+dispersion_module = importlib.import_module("ratrec.dispersion")
 
 N = Poly.variable()
 
@@ -527,3 +535,52 @@ class TestFormerCliffs:
         # R has degree 484, but the bound is far below it
         result = dispersion((N + 1) ** 20 * (N**2 + 3), N**20 * (N**2 + 5))
         assert result == DispersionResult(1, ((1, (N + 1) ** 20),))
+
+
+# -- the memo on primitive parts ----------------------------------------------
+
+nonzero_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
+
+
+class TestMemo:
+    @given(shifted_pairs())
+    def test_cached_results_equal_fresh_ones(self, pair):
+        a, b = pair
+        first = dispersion(a, b)
+        assert dispersion(a, b) == first
+        dispersion_module._dispersion.cache_clear()
+        assert dispersion(a, b) == first
+
+    @given(shifted_pairs(), nonzero_rationals, nonzero_rationals)
+    def test_scalar_multiples_share_a_result(self, pair, c, d):
+        a, b = pair
+        dispersion_module._dispersion.cache_clear()
+        expected = dispersion(a, b)
+        dispersion_module._dispersion.cache_clear()
+        assert dispersion(c * a, d * b) == expected
+
+    def test_one_equation_computes_one_dispersion(self, monkeypatch):
+        # every route of an order-1 equation starts from (pd(n-1), p0(n)):
+        # pd(n-1) = (n+6)(2n+3) meets p0(n+5) at n+6
+        runs = []
+        core = dispersion_module._dispersion.__wrapped__
+
+        def spy(pa, pb):
+            runs.append((pa, pb))
+            return core(pa, pb)
+
+        monkeypatch.setattr(dispersion_module, "_dispersion", lru_cache(maxsize=_MEMO_ENTRIES)(spy))
+        p0 = (N + 1) * (N**2 + 3)
+        pd = (N + 7) * (2 * N + 5)
+        assert gcd_limit(p0, pd, 1).max_shift == 5
+        universal_denominator(p0, pd, 1)
+        abramov_reduce(p0, pd, 1)
+        gp_rep_from_trace(pd, p0)
+        assert runs == [(shift(pd, -1).primitive, p0.primitive)]
+
+    def test_the_memo_holds_at_most_its_size(self):
+        for i in range(1, 4 * _MEMO_ENTRIES):
+            dispersion(N**2 + i, (N + i) ** 2 + i)
+        info = dispersion_module._dispersion.cache_info()
+        assert info.maxsize == _MEMO_ENTRIES
+        assert info.currsize <= _MEMO_ENTRIES

@@ -223,6 +223,30 @@ class TestCompositeModulusGcd:
             assert modular_agrees_with_oracle(*closed_form_pair(3, 2, 5, 1, shift_by, count))
         assert raised
 
+    def test_the_first_pass_runs_modulo_one_prime(self, monkeypatch):
+        moduli = []
+        gf_gcd = polys._gf_gcd
+
+        def spy(a, b, m):
+            moduli.append(m)
+            return gf_gcd(a, b, m)
+
+        monkeypatch.setattr(polys, "_gf_gcd", spy)
+        rng = random.Random(2032)
+        n = Poly.variable()
+
+        def wide_poly(length):
+            return Poly([rng.randint(-(1 << 150), 1 << 150) for _ in range(length)])
+
+        # a coprime pair is proved coprime by one prime
+        assert modular_gcd(wide_poly(6), wide_poly(5)) == Poly.one()
+        assert len(moduli) == 1 and is_probable_prime(moduli[0]) and moduli[0] < 1 << 61
+        # a gcd with narrow coefficients lifts from that prime's image alone
+        moduli.clear()
+        g = n * n + 3 * n + 5
+        assert modular_gcd(g * wide_poly(6), g * wide_poly(5)) == g
+        assert len(moduli) == 1 and is_probable_prime(moduli[0])
+
     def test_planted_pair_takes_two_passes(self, monkeypatch):
         # p0 = (3n+2)(n^2+5), pd = p0(n+21)(5n+1), d = 1: dispersion N = 20,
         # and the closed form is one gcd of two falling products of degree 63
@@ -271,6 +295,19 @@ def gcd_agrees_everywhere(a: Poly, b: Poly) -> None:
     assert agree(g, FracPoly(a.coeffs).gcd(FracPoly(b.coeffs)))
     if a.degree >= 1 and b.degree >= 1:
         assert g == modular_gcd(a, b)
+
+
+def record_widths(monkeypatch) -> list[int]:
+    """The width of every heuristic gcd evaluation made from here on."""
+    widths = []
+    heu_gcd = polys._heu_gcd
+
+    def spy(a, b, width):
+        widths.append(width)
+        return heu_gcd(a, b, width)
+
+    monkeypatch.setattr(polys, "_heu_gcd", spy)
+    return widths
 
 
 class TestHeuristicGcd:
@@ -335,19 +372,61 @@ class TestHeuristicGcd:
         gcd_agrees_everywhere(a, b)
 
     def test_a_spurious_factor_takes_the_next_xi(self, monkeypatch):
-        # (n+3)(n-6) and (n+3)(n+44): at xi = 2^8 the integer gcd carries a
-        # spurious factor and reconstructs 51n - 106, which divides neither
-        widths = []
-        heu_gcd = polys._heu_gcd
-
-        def spy(a, b, width):
-            widths.append(width)
-            return heu_gcd(a, b, width)
-
-        monkeypatch.setattr(polys, "_heu_gcd", spy)
+        # a = (n+3)(n-s), b = (n+3)(n^2-n) with s = 2^(4w) = sqrt(xi) at the
+        # width w the heuristic starts from (b's norm 3 gives one byte, plus
+        # the headroom): the cofactors' values xi - s and xi^2 - xi share the
+        # spurious factor xi - s, the integer gcd reconstructs a itself, which
+        # does not divide b, and the doubled width answers
+        width = 1 + polys._HEU_HEADROOM_BYTES
+        s = 1 << (4 * width)
         n = Poly.variable()
-        assert gcd_monic(n * n - 3 * n - 18, n * n + 47 * n + 132) == n + 3
-        assert widths == [1, 2]
+        a, b = (n + 3) * (n - s), (n + 3) * (n * n - n)
+        assert polys._heu_gcd(a.primitive, b.primitive, width) is None
+        widths = record_widths(monkeypatch)
+        assert gcd_monic(a, b) == n + 3
+        assert widths == [width, 2 * width]
+
+    def test_closed_form_gcds_take_one_evaluation(self, monkeypatch):
+        # at the smallest xi the cofactors' values share a spurious factor
+        # and both of these take a second evaluation
+        widths = record_widths(monkeypatch)
+        n = Poly.variable()
+        p0 = (3 * n + 2) * (n * n + 5)
+        for n_max in (5, 10):
+            pd = shift(p0, n_max + 1) * (5 * n + 1)
+            lead = falling_product(shift(p0, n_max), n_max + 1) * (7 * n + 2)
+            trail = falling_product(shift(pd, -1), n_max + 1)
+            widths.clear()
+            gcd_agrees_everywhere(lead, trail)
+            assert len(widths) == 1
+
+    def test_the_headroom_stays_within_the_limit(self, monkeypatch):
+        # length 8001 with 4-bit coefficients: one byte a slot is 64,008 bits,
+        # within the limit, and 64 bits more a slot would be nine times that
+        def no_modular(a, b):
+            raise AssertionError("the smallest xi is within the limit")
+
+        widths = record_widths(monkeypatch)
+        monkeypatch.setattr(polys, "_modular_gcd", no_modular)
+        n = Poly.variable()
+        g = n**4000 + 1
+        assert gcd_monic(g * (n**4000 + 3), g * (n**4000 + 5)) == g
+        assert widths == [1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        int_polys(st.integers(2, 3), st.integers(1, 8)),
+        int_polys(st.integers(1, 3), st.integers(1, 8)),
+        int_polys(st.integers(1, 3), st.integers(1, 8)),
+        st.integers(0, 6),
+        st.integers(1, 6),
+    )
+    def test_falling_factorial_products(self, f, u, v, k, length):
+        # the closed form's shape: gcd of [f u](n+k) and [f v](n) falling
+        # `length` times, whose values share many small factors at every xi
+        lead = falling_product(shift(f * u, k), length)
+        trail = falling_product(f * v, length)
+        gcd_agrees_everywhere(lead, trail)
 
 
 class TestGcdSequence:
