@@ -2,18 +2,20 @@
 the Gosper / GP representations of a rational function with their checkers.
 
 Both reductions peel shifted common factors off the pair formed by the
-leading and trailing coefficients of a difference equation.  Abramov's loop
-runs the shift index downward starting from (pd(n-d), p0(n)); the GP loop
-runs it upward starting from (a(n), b(n)).  Each yields a universal
-denominator; the GP one always divides the Abramov one.
+leading and trailing coefficients of a difference equation with one shared
+extraction step, and differ only in seed, direction and denominator:
+Abramov's loop runs the shift index downward starting from (pd(n-d), p0(n));
+the GP loop runs it upward starting from (a(n), b(n)).  Each yields a
+universal denominator; the GP one always divides the Abramov one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dispersion import dispersion
-from .polys import Poly, RatFunc, exact_div, falling_product, gcd_monic, shift
+from .polys import Poly, RatFunc, cofactors, falling_product, gcd_monic, shift
 
 
 @dataclass(frozen=True)
@@ -92,22 +94,10 @@ def abramov_reduce(p0: Poly, pd: Poly, d: int) -> AbramovTrace:
     lead = shift(pd, -d)
     shifts = dispersion(lead, p0)
     n_max = shifts.value
-    witnessed = {k for k, _ in shifts.witnesses}
-    trail = p0
-    steps: list[Poly] = []
-    denominator = Poly.one()
-    for i in range(n_max, -1, -1):
-        if i not in witnessed:
-            # the current pair divides the original one, which is coprime at shift i
-            steps.append(Poly.one())
-            continue
-        g = gcd_monic(lead, shift(trail, i))
-        steps.append(g)
-        if g.degree > 0:
-            lead = exact_div(lead, g)
-            trail = exact_div(trail, shift(g, -i))
-            denominator = denominator * falling_product(g, i + 1)
-    return AbramovTrace(n_max, tuple(steps), lead, trail, denominator)
+    order = range(n_max, -1, -1)
+    steps, lead, trail = _extract(lead, p0, order, {k for k, _ in shifts.witnesses})
+    factors = (falling_product(g, i + 1) for i, g in zip(order, steps) if g.degree > 0)
+    return AbramovTrace(n_max, steps, lead, trail, math.prod(factors, start=Poly.one()))
 
 
 def gp_reduce(a: Poly, b: Poly) -> GPTrace:
@@ -124,23 +114,26 @@ def gp_reduce(a: Poly, b: Poly) -> GPTrace:
         raise ValueError("gp reduction expects a coprime pair")
     shifts = dispersion(shift(a, -1), b)
     n_max = shifts.value
+    order = range(1, n_max + 2)
     # a(n-1), b(n+k) share a factor exactly when a(n), b(n+k+1) do
-    witnessed = {k + 1 for k, _ in shifts.witnesses}
-    num = a
-    den = b
-    steps: list[Poly] = []
-    denominator = Poly.one()
-    for i in range(1, n_max + 2):
-        if i not in witnessed:
-            steps.append(Poly.one())
-            continue
-        g = gcd_monic(num, shift(den, i))
+    steps, num, den = _extract(a, b, order, {k + 1 for k, _ in shifts.witnesses})
+    factors = (falling_product(shift(g, -1), i) for i, g in zip(order, steps) if g.degree > 0)
+    return GPTrace(n_max, steps, num, den, math.prod(factors, start=Poly.one()))
+
+
+def _extract(x: Poly, y: Poly, order: range, witnessed: set[int]) -> tuple[tuple[Poly, ...], Poly, Poly]:
+    """The extraction step: for each witnessed shift i in `order`, divide the
+    monic g = gcd(x(n), y(n+i)) out of x(n) and g(n-i) out of y(n).  Returns
+    the g in loop order, 1 at the other shifts, and what remains of x and y."""
+    steps = []
+    for i in order:
+        g = Poly.one()
+        if i in witnessed:
+            g, x, rest = cofactors(x, shift(y, i))
+            if g.degree > 0:
+                y = shift(rest, -i)
         steps.append(g)
-        if g.degree > 0:
-            num = exact_div(num, g)
-            den = exact_div(den, shift(g, -i))
-            denominator = denominator * falling_product(shift(g, -1), i)
-    return GPTrace(n_max, tuple(steps), num, den, denominator)
+    return tuple(steps), x, y
 
 
 def _coprime_ratio(a: Poly, b: Poly) -> RatFunc:

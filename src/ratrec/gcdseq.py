@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dispersion import dispersion
-from .polys import Poly, exact_div, falling_product, gcd_monic, shift
+from .polys import Poly, cofactors, falling_product, gcd_monic, shift
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,8 @@ def gcd_limit(p0: Poly, pd: Poly, d: int) -> GcdLimit:
         a, from_v = _peel(rest_b, partners, shift(p0, k))
         step = from_u * from_v
         if 2 * k in witnessed:
-            fresh = gcd_monic(a, b)
+            fresh, a, b = cofactors(a, b)
             if fresh.degree > 0:
-                a, b = exact_div(a, fresh), exact_div(b, fresh)
                 step = step * fresh
         rest_a.append(a)
         rest_b.append(b)
@@ -104,10 +103,8 @@ def _peel(remnants: list[Poly], indices: list[int], p: Poly) -> tuple[Poly, Poly
     out of those remnants, in place; returns (p / h, h)."""
     found = Poly.one()
     for i in indices:
-        h = gcd_monic(remnants[i], p)
+        h, remnants[i], p = cofactors(remnants[i], p)
         if h.degree > 0:
-            remnants[i] = exact_div(remnants[i], h)
-            p = exact_div(p, h)
             found = found * h
     return p, found
 

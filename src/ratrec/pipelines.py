@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .gcdseq import GcdLimit, gcd_limit
-from .polys import Poly, RatFunc, exact_div, gcd_monic, shift
+from .polys import Poly, RatFunc, cofactors, exact_div, shift
 from .recurrences import LinearRecurrence, SolutionSet, poly_solutions
 
 
@@ -75,7 +75,7 @@ def _cleared_solutions(rec: LinearRecurrence, denominator: Poly) -> SolutionSet:
     shifts = [shift(denominator, j) for j in range(rec.order + 1)]
     common = shifts[0]
     for s in shifts[1:]:
-        common = common * exact_div(s, gcd_monic(common, s))
+        common = common * cofactors(common, s)[2]
     cleared = LinearRecurrence(
         tuple(q * exact_div(common, s) for q, s in zip(rec.coeffs, shifts)),
         rec.rhs * common,

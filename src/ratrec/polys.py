@@ -43,7 +43,9 @@ most four), and every image is merged by CRT until the lifted candidate
 divides both inputs exactly.  Euclid modulo a squarefree product is
 Euclid modulo each of its primes at once while every leading coefficient
 is a unit; a modulus that meets a zero divisor is dropped, as an unlucky
-prime is.  Both routes return the classical monic gcd exactly.
+prime is.  Both routes return the classical monic gcd g exactly, and the
+exact divisions that accept g compute a / g and b / g: `cofactors` returns
+them with g, so a caller that divides g out never divides again.
 """
 
 from __future__ import annotations
@@ -454,7 +456,7 @@ def _shift_ints(a: "tuple[int, ...] | list[int]", k: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _exact_quo_ints(a: tuple[int, ...], b: tuple[int, ...]) -> "list[int] | None":
+def _exact_quo_ints(a: tuple[int, ...], b: tuple[int, ...]) -> "tuple[int, ...] | None":
     """a / b in Z[n] when b divides a there, else None (b nonzero).
 
     A quotient coefficient past Mignotte's bound on the factors of a,
@@ -464,7 +466,7 @@ def _exact_quo_ints(a: tuple[int, ...], b: tuple[int, ...]) -> "list[int] | None
     lb = b[-1]
     db = len(b) - 1
     if len(a) <= db:
-        return None if any(a) else []
+        return None if any(a) else ()
     rem = list(a)
     quo = [0] * (len(a) - db)
     limit = _max_bits(a) + len(quo) + len(a).bit_length()
@@ -479,7 +481,7 @@ def _exact_quo_ints(a: tuple[int, ...], b: tuple[int, ...]) -> "list[int] | None
             off = top - db
             for i, y in enumerate(low):
                 rem[off + i] -= q * y
-    return quo if not any(rem[:db]) else None
+    return tuple(quo) if not any(rem[:db]) else None
 
 
 # -- division and composition ------------------------------------------------
@@ -531,7 +533,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     quo = _exact_quo_ints(a._prim, b._prim)
     if quo is None:
         raise RuntimeError(f"non-exact polynomial division: ({a}) / ({b})")
-    return _make(a._content / b._content, tuple(quo))
+    return _make(a._content / b._content, quo)
 
 
 def shift(a: Poly, k: int) -> Poly:
@@ -616,9 +618,9 @@ def _gf_gcd(a: "tuple[int, ...] | list[int]", b: "tuple[int, ...] | list[int]", 
     return [x * inv % p for x in f]
 
 
-def _heu_gcd(a: tuple[int, ...], b: tuple[int, ...], width: int) -> "tuple[int, ...] | None":
-    """The gcd of primitive a, b reconstructed from their values at xi =
-    256^width, or None when that candidate does not divide both.
+def _heu_gcd(a: tuple[int, ...], b: tuple[int, ...], width: int) -> "tuple[tuple[int, ...], ...] | None":
+    """(g, a / g, b / g) for the gcd g of primitive a, b reconstructed from
+    their values at xi = 256^width, or None when g does not divide both.
 
     xi must be at least 2 * min(||a||_inf, ||b||_inf) + 2.  Then a candidate
     P that divides both inputs is their gcd G (Char, Geddes & Gonnet): write
@@ -632,18 +634,18 @@ def _heu_gcd(a: tuple[int, ...], b: tuple[int, ...], width: int) -> "tuple[int, 
     while not g[-1]:
         g.pop()
     if len(g) == 1:
-        return (1,)
+        return (1,), a, b
     content = math.gcd(*g)
     if g[-1] < 0:
         content = -content
     g = tuple([x // content for x in g])
-    if _exact_quo_ints(a, g) is None or _exact_quo_ints(b, g) is None:
+    if (qa := _exact_quo_ints(a, g)) is None or (qb := _exact_quo_ints(b, g)) is None:
         return None
-    return g
+    return g, qa, qb
 
 
-def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive gcd in Z[n] of primitive a, b of degree >= 1.
+def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(g, a / g, b / g) for the primitive gcd g of primitive a, b of degree >= 1.
 
     The route is read off the smallest admissible xi = 256^w: the heuristic
     gcd runs when 8 w * max(len(a), len(b)) is at most _HEU_MAX_BITS, and
@@ -658,17 +660,18 @@ def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if 8 * width * length <= _HEU_MAX_BITS:
         width = min(width + _HEU_HEADROOM_BYTES, _HEU_MAX_BITS // (8 * length))
         while True:
-            g = _heu_gcd(a, b, width)
-            if g is not None:
-                return g
+            found = _heu_gcd(a, b, width)
+            if found is not None:
+                return found
             width *= 2
             if 8 * width * length > _HEU_MAX_BITS:
                 break
     return _modular_gcd(a, b)
 
 
-def _modular_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive gcd in Z[n] of primitive a, b of degree >= 1 (modular CRT).
+def _modular_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(g, a / g, b / g) for the primitive gcd g of primitive a, b of degree
+    >= 1, by modular CRT.
 
     The shorter input is the answer when it divides the longer one, which
     one exact division decides.  Otherwise the first Euclidean pass runs
@@ -677,10 +680,10 @@ def _modular_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     runs modulo m, a product of consecutive stream primes sized from the
     inputs (see _GCD_MODULUS_MAX_BITS).  A modulus that meets a zero
     divisor is dropped as an unlucky prime is; the exact trial division
-    decides."""
+    decides, and its quotients are the cofactors."""
     short, long = (a, b) if len(a) < len(b) else (b, a)
-    if len(short) < len(long) and _exact_quo_ints(long, short) is not None:
-        return short
+    if len(short) < len(long) and (quo := _exact_quo_ints(long, short)) is not None:
+        return (a, (1,), quo) if short is a else (b, quo, (1,))
     la, lb = a[-1], b[-1]
     lc_bound = math.gcd(la, lb)
     estimate = min(_max_bits(a), _max_bits(b)) // _GCD_INPUT_BITS_PER_ANSWER_BIT
@@ -699,7 +702,7 @@ def _modular_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         except ValueError:
             continue  # a leading coefficient is a zero divisor modulo m
         if len(gm) == 1:
-            return (1,)  # coprime: the modular degree only ever overshoots
+            return (1,), a, b  # coprime: the modular degree only ever overshoots
         scaled = [x * lc_bound % m for x in gm]
         if acc is None or len(scaled) < len(acc):
             acc, modulus = scaled, m
@@ -718,28 +721,35 @@ def _modular_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if candidate[-1] < 0:
             content = -content
         g = tuple([c // content for c in candidate])
-        if _exact_quo_ints(a, g) is not None and _exact_quo_ints(b, g) is not None:
-            return g
+        if (qa := _exact_quo_ints(a, g)) is not None and (qb := _exact_quo_ints(b, g)) is not None:
+            return g, qa, qb
     raise AssertionError("unreachable: prime stream is infinite")
+
+
+def cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a / g, b / g) for the monic gcd g of a and b, nonzero.  The gcd
+    kernel computes both quotients when it checks g, so they cost no
+    further division; when g is 1 they are a and b themselves."""
+    pa, pb = a._prim, b._prim
+    if len(pa) == 1 or len(pb) == 1:
+        return _ONE, a, b
+    if pa == pb:
+        g, qa, qb = pa, (1,), (1,)
+    else:
+        g, qa, qb = _int_gcd(pa, pb)
+        if len(g) == 1:
+            return _ONE, a, b
+    lead = g[-1]
+    return _make(Fraction(1, lead), g), _make(a._content * lead, qa), _make(b._content * lead, qb)
 
 
 def gcd_monic(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(x, 0) = monic(x)."""
-    pa, pb = a._prim, b._prim
-    if not pa and not pb:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    if not pa:
-        return b.monic()
-    if not pb:
-        return a.monic()
-    if len(pa) == 1 or len(pb) == 1:
-        return _ONE
-    if pa == pb:
-        return a.monic()
-    g = _int_gcd(pa, pb)
-    if len(g) == 1:
-        return _ONE
-    return _make(Fraction(1, g[-1]), g)
+    if not a._prim or not b._prim:
+        if not a._prim and not b._prim:
+            raise ValueError("gcd of two zero polynomials is undefined")
+        return (a or b).monic()
+    return cofactors(a, b)[0]
 
 
 # -- rational functions ---------------------------------------------------
@@ -759,10 +769,7 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             return RatFunc(_ZERO, _ONE)
-        g = gcd_monic(num, den)
-        if g.degree > 0:
-            num = exact_div(num, g)
-            den = exact_div(den, g)
+        _, num, den = cofactors(num, den)
         lc = den.lc
         if lc != 1:
             num = num / lc

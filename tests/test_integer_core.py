@@ -10,14 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ratrec import polys
-from ratrec.denominators import abramov_reduce, gp_reduce
+from ratrec import denominators, gcdseq, polys
+from ratrec.denominators import abramov_reduce, gosper_rep_from_abramov, gp_reduce
 from ratrec.gcdseq import gcd_limit, universal_denominator
 from ratrec.intutil import CRT_PRIMES, PrimeStream, is_probable_prime
 from ratrec.polys import (
     _HEU_MAX_BITS,
     _KRONECKER_MIN_LEN,
     Poly,
+    RatFunc,
     divrem,
     exact_div,
     falling_product,
@@ -158,9 +159,19 @@ def agrees_with_oracle(a: Poly, b: Poly) -> bool:
     return agree(gcd_monic(a, b), FracPoly(a.coeffs).gcd(FracPoly(b.coeffs)))
 
 
+def assert_cofactors(a: tuple[int, ...], b: tuple[int, ...], found) -> tuple[int, ...]:
+    """The primitive gcd g of a gcd kernel's answer (g, a / g, b / g), after
+    checking that g times each cofactor gives back its input."""
+    g, qa, qb = found
+    assert polys._mul_ints(g, qa) == a
+    assert polys._mul_ints(g, qb) == b
+    return g
+
+
 def modular_gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd of a and b of degree >= 1 by the modular route alone."""
-    return Poly(polys._modular_gcd(a.primitive, b.primitive)).monic()
+    pa, pb = a.primitive, b.primitive
+    return Poly(assert_cofactors(pa, pb, polys._modular_gcd(pa, pb))).monic()
 
 
 def modular_agrees_with_oracle(a: Poly, b: Poly) -> bool:
@@ -290,7 +301,7 @@ cofactors = int_polys(st.integers(1, 8), st.integers(1, 200))
 
 def gcd_agrees_everywhere(a: Poly, b: Poly) -> None:
     """gcd_monic against the Fraction oracle and, for inputs of degree >= 1,
-    against the modular route alone."""
+    against the modular route alone, whose cofactors are checked."""
     g = gcd_monic(a, b)
     assert agree(g, FracPoly(a.coeffs).gcd(FracPoly(b.coeffs)))
     if a.degree >= 1 and b.degree >= 1:
@@ -298,13 +309,17 @@ def gcd_agrees_everywhere(a: Poly, b: Poly) -> None:
 
 
 def record_widths(monkeypatch) -> list[int]:
-    """The width of every heuristic gcd evaluation made from here on."""
+    """The width of every heuristic gcd evaluation made from here on; every
+    answer's cofactors are checked."""
     widths = []
     heu_gcd = polys._heu_gcd
 
     def spy(a, b, width):
         widths.append(width)
-        return heu_gcd(a, b, width)
+        found = heu_gcd(a, b, width)
+        if found is not None:
+            assert_cofactors(a, b, found)
+        return found
 
     monkeypatch.setattr(polys, "_heu_gcd", spy)
     return widths
@@ -479,6 +494,36 @@ class TestWitnessOnlyReductions:
             steps, num, den = reduction_at_every_shift(a, b, range(1, trace.max_shift + 2))
             assert list(trace.step_gcds) == steps
             assert (trace.num_residual, trace.den_residual) == (num, den)
+
+
+class TestNoSecondDivision:
+    def test_gcd_then_divide_sites_take_the_cofactors(self, monkeypatch):
+        # p0 = (n+2)(n+5)(3n+1) and pd(n-1) = (n+8)(n+3)(n^2+1) share factors
+        # at the witness shifts 1, 3 and 6 of the dispersion
+        n = Poly.variable()
+        p0 = (n + 2) * (n + 5) * (3 * n + 1)
+        pd = (n + 9) * (n + 4) * (n * n + 2 * n + 2)
+        h = (2 * n + 7) * (n - 4)
+
+        def every_site():
+            return (
+                RatFunc.reduced(p0 * h, pd * h),
+                gcd_limit(p0, pd, 1),
+                abramov_reduce(p0, pd, 1),
+                gp_reduce(pd, p0),
+                gosper_rep_from_abramov(pd, p0),
+            )
+
+        expected = every_site()
+        assert expected[0] == RatFunc(p0, pd)
+        assert all(any(g.degree > 0 for g in trace.step_gcds) for trace in expected[2:4])
+
+        def no_division(a, b):
+            raise AssertionError("a gcd's cofactors were divided out again")
+
+        for module in (polys, gcdseq, denominators):
+            monkeypatch.setattr(module, "exact_div", no_division, raising=False)
+        assert every_site() == expected
 
 
 class TestPrimeTable:

@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratrec.polys import (
+    _HEU_MAX_BITS,
     NEG_INFINITY,
     Poly,
     RatFunc,
+    _max_bits,
+    cofactors,
     divrem,
     exact_div,
     falling_product,
@@ -18,7 +21,7 @@ from ratrec.polys import (
     shift,
 )
 
-from oracles import monic_ers_gcd, rand_poly, rand_ratfunc
+from oracles import FracPoly, monic_ers_gcd, rand_poly, rand_ratfunc
 
 N = Poly.variable()
 
@@ -114,6 +117,91 @@ class TestGcd:
             b = rand_poly(rng, 3)
             g = gcd_monic(a * common, b * common)
             assert divrem(g, common.monic())[1].is_zero
+
+
+def checked_cofactors(a: Poly, b: Poly) -> Poly:
+    """The monic gcd g from cofactors(a, b), after checking it against
+    gcd_monic and checking that g (a / g) == a, g (b / g) == b and that the
+    two cofactors are coprime."""
+    g, qa, qb = cofactors(a, b)
+    assert g == gcd_monic(a, b) and g.lc == 1
+    assert g * qa == a and g * qb == b
+    assert gcd_monic(qa, qb) == Poly.one()
+    return g
+
+
+def first_evaluation_bits(a: Poly, b: Poly) -> int:
+    """The size of the heuristic gcd's first evaluation, which chooses the route."""
+    pa, pb = a.primitive, b.primitive
+    return 8 * (min(_max_bits(pa), _max_bits(pb)) // 8 + 1) * max(len(pa), len(pb))
+
+
+def linear_product(factors: list[tuple[int, int]]) -> Poly:
+    """The product of c n + r over the (c, r) in factors."""
+    p = Poly.one()
+    for c, r in factors:
+        p = p * (c * N + r)
+    return p
+
+
+scales = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+wide_polys = st.lists(st.integers(-(1 << 120), 1 << 120), min_size=2, max_size=7).map(Poly).filter(
+    lambda p: p.degree > 0
+)
+
+
+class TestCofactors:
+    @given(nonzero_polys, nonzero_polys, polys)
+    def test_against_the_fraction_oracle(self, a, b, common):
+        # rational contents; a nonzero common factor plants a gcd
+        if not common.is_zero:
+            a, b = a * common, b * common
+        g = checked_cofactors(a, b)
+        assert g.coeffs == FracPoly(a.coeffs).gcd(FracPoly(b.coeffs)).coeffs
+
+    @given(
+        st.sampled_from(["planted", "divides", "equal", "constant", "coprime"]),
+        wide_polys,
+        wide_polys,
+        wide_polys,
+        scales,
+        scales,
+    )
+    def test_every_shape_below_the_heuristic_limit(self, shape, u, v, w, s, t):
+        a, b = {
+            "planted": (w * u, w * v),
+            "divides": (w * u, w),
+            "equal": (w, w),
+            "constant": (Poly.const(1), w),
+            "coprime": (u, v),
+        }[shape]
+        for x, y in ((s * a, t * b), (t * b, s * a)):
+            assert first_evaluation_bits(x, y) <= _HEU_MAX_BITS
+            g = checked_cofactors(x, y)
+            assert g.coeffs == FracPoly(x.coeffs).gcd(FracPoly(y.coeffs)).coeffs
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(["planted", "divides", "coprime"]), st.randoms(use_true_random=False), scales, scales)
+    def test_the_modular_route(self, shape, rng, s, t):
+        # products of c n + r with 9-bit c and distinct roots -r/c: degrees
+        # 90 to 100 give coefficients of 700 to 800 bits, past _HEU_MAX_BITS.
+        # The Fraction gcd does not finish in a minute here, so the planted
+        # factors are the oracle.
+        roots: dict[Fraction, tuple[int, int]] = {}
+        while len(roots) < 200:
+            c, r = rng.randint(256, 511), rng.randint(-(1 << 9), 1 << 9)
+            roots.setdefault(Fraction(-r, c), (c, r))
+        factors = list(roots.values())
+        common, only_a, only_b = factors[:40], factors[40:100], factors[100:160]
+        a, b, g = {
+            "planted": (common + only_a, common + only_b, common),
+            "divides": (common + only_a, common + only_a[:50], common + only_a[:50]),
+            "coprime": (common + only_a, only_b + factors[160:], []),
+        }[shape]
+        a, b = s * linear_product(a), t * linear_product(b)
+        assert first_evaluation_bits(a, b) > _HEU_MAX_BITS
+        # both orders, so that the shorter input is the first one or the second
+        assert checked_cofactors(a, b) == checked_cofactors(b, a) == linear_product(g).monic()
 
 
 class TestShift:
