@@ -6,7 +6,9 @@ leading and trailing coefficients of a difference equation with one shared
 extraction step, and differ only in seed, direction and denominator:
 Abramov's loop runs the shift index downward starting from (pd(n-d), p0(n));
 the GP loop runs it upward starting from (a(n), b(n)).  Each yields a
-universal denominator; the GP one always divides the Abramov one.
+universal denominator; the GP one always divides the Abramov one.  The
+representations keep each ratio in the normal form of `polys`: coprime,
+with a monic denominator.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .dispersion import dispersion
-from .polys import Poly, RatFunc, cofactors, falling_product, gcd_monic, shift
+from .polys import Poly, RatFunc, _monic_ratio, cofactors, falling_product, gcd_monic, shift
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,7 @@ def gp_reduce(a: Poly, b: Poly) -> GPTrace:
     shifted extracted factors is again a universal denominator, and it
     divides the Abramov one.
     """
-    if a.is_zero or b.is_zero:
-        raise ValueError("reduction needs nonzero polynomials")
-    if gcd_monic(a, b).degree > 0:
-        raise ValueError("gp reduction expects a coprime pair")
+    _require_coprime(a, b)
     shifts = dispersion(shift(a, -1), b)
     n_max = shifts.value
     order = range(1, n_max + 2)
@@ -136,19 +135,11 @@ def _extract(x: Poly, y: Poly, order: range, witnessed: set[int]) -> tuple[tuple
     return tuple(steps), x, y
 
 
-def _coprime_ratio(a: Poly, b: Poly) -> RatFunc:
-    """a/b as a RatFunc for a pair already known to be coprime: only the
-    denominator is made monic, with no second gcd."""
-    lc = b.lc
-    return RatFunc(a, b) if lc == 1 else RatFunc(a / lc, b / lc)
-
-
-def _normalized_rep(ratio: RatFunc, num_factor: Poly, den_factor: Poly, shift_factor: Poly) -> GosperRep:
-    lc = den_factor.lc
-    if lc != 1:
-        num_factor = num_factor / lc
-        den_factor = den_factor / lc
-    return GosperRep(ratio, num_factor, den_factor, shift_factor)
+def _normalized_rep(a: Poly, b: Poly, num_factor: Poly, den_factor: Poly, shift_factor: Poly) -> GosperRep:
+    """The representation of the coprime a/b with these factors, both
+    ratios in their normal form: num_factor takes den_factor's scalar."""
+    factors = _monic_ratio(num_factor, den_factor)
+    return GosperRep(_monic_ratio(a, b), factors.num, factors.den, shift_factor)
 
 
 def gosper_rep_from_abramov(a: Poly, b: Poly) -> GosperRep:
@@ -161,30 +152,20 @@ def gosper_rep_from_abramov(a: Poly, b: Poly) -> GosperRep:
     """
     _require_coprime(a, b)
     trace = abramov_reduce(b, a, 1)
-    return _normalized_rep(
-        _coprime_ratio(a, b),
-        shift(trace.lead_residual, 1),
-        trace.trail_residual,
-        trace.denominator,
-    )
+    return _normalized_rep(a, b, shift(trace.lead_residual, 1), trace.trail_residual, trace.denominator)
 
 
 def gp_rep_from_trace(a: Poly, b: Poly) -> GosperRep:
     """The GP representation of a/b, from the GP reduction residuals."""
     trace = gp_reduce(a, b)
-    return _normalized_rep(
-        _coprime_ratio(a, b),
-        trace.num_residual,
-        trace.den_residual,
-        trace.denominator,
-    )
+    return _normalized_rep(a, b, trace.num_residual, trace.den_residual, trace.denominator)
 
 
 def _require_coprime(a: Poly, b: Poly) -> None:
     if a.is_zero or b.is_zero:
-        raise ValueError("representation needs nonzero polynomials")
+        raise ValueError("the pair must be nonzero polynomials")
     if gcd_monic(a, b).degree > 0:
-        raise ValueError("representation expects a coprime pair")
+        raise ValueError("the pair must be coprime")
 
 
 def _identity_holds(rep: GosperRep) -> bool:

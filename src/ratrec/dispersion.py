@@ -15,8 +15,9 @@ coefficient, so that R mod p keeps its degree.  They are read off in one of
 three ways (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5 and
 14):
 
-- Samples.  R(h) mod p is the modular resultant of a and of b shifted by
-  h, one Taylor step from the last, for h = 0 .. min(B, deg R).  When
+- Samples.  R(h) mod p is the resultant of a and of b shifted by h, one
+  Taylor step from the last, for h = 0 .. min(B, deg R), read off the
+  Euclidean sequence modulo p that the gcds of `polys` run too.  When
   B <= deg R these samples are all there is to read.
 - Sweep.  Otherwise the backward differences of R at deg R, taken from the
   samples, step on to B.  Each step replaces them by their prefix sums,
@@ -52,9 +53,10 @@ from itertools import accumulate
 from .intutil import is_probable_prime
 from .polys import (
     Poly,
+    _gf_euclid,
     _gf_gcd,
+    _gf_monic,
     _gf_monic_low,
-    _gf_rem,
     _gf_rem_monic,
     _make,
     _mul_ints,
@@ -143,21 +145,15 @@ def _gf_powmod(c: int, e: int, m: list[int], p: int) -> list[int]:
     return acc
 
 
-def _gf_common(g: list[int], f: list[int], p: int) -> list[int]:
-    """gcd(g, f) over GF(p) for monic g and any integer list f; g when f = 0 mod p."""
-    return _gf_gcd(g, f, p) or g
-
-
 def _gf_roots(f: list[int], p: int) -> list[int]:
     """The distinct roots in GF(p), for odd p, of a nonzero polynomial mod p."""
     if len(f) < 2:
         return []
-    inv = pow(f[-1], -1, p)
-    monic = [x * inv % p for x in f]
+    monic = _gf_monic(f, p)
     # gcd(f, h^p - h) is the product of the distinct linear factors of f
     frobenius = _gf_powmod(0, p, monic, p) + [0, 0]
     frobenius[1] -= 1
-    linear = _gf_common(monic, frobenius, p)
+    linear = _gf_gcd(monic, frobenius, p) or monic
     half = (p - 1) // 2
     roots: list[int] = []
     stack = [(linear, 1)]
@@ -171,9 +167,9 @@ def _gf_roots(f: list[int], p: int) -> list[int]:
             # at a root r of g, w = (r + delta)^((p-1)/2) is 1, -1, or 0 when r = -delta
             w = _gf_powmod(delta, half, g, p) + [0]
             w[0] -= 1
-            squares = _gf_common(g, w, p)
+            squares = _gf_gcd(g, w, p) or g
             w[0] += 2
-            others = _gf_common(g, w, p)
+            others = _gf_gcd(g, w, p) or g
             if len(squares) < len(g) and len(others) < len(g):
                 break
             delta += 1
@@ -188,8 +184,7 @@ def _gf_roots(f: list[int], p: int) -> list[int]:
 def _gf_squarefree(f: tuple[int, ...], p: int) -> list[int]:
     """The monic f / gcd(f, f') modulo a prime p above deg f >= 1 that does
     not divide lc f: its squarefree part, as f' keeps its leading term."""
-    inv = pow(f[-1], -1, p)
-    rem = [x * inv % p for x in f]
+    rem = _gf_monic(f, p)
     low = _gf_gcd(rem, [i * x for i, x in enumerate(rem)][1:], p)[:-1]
     quo = []  # divided by the monic gcd h^len(low) + low, highest term first
     while len(rem) > len(low):
@@ -198,23 +193,6 @@ def _gf_squarefree(f: tuple[int, ...], p: int) -> list[int]:
         off = len(rem) - len(low)
         rem[off:] = [(x - c * y) % p for x, y in zip(rem[off:], low)]
     return quo[::-1]
-
-
-def _gf_resultant(f: list[int], g: list[int], p: int) -> int:
-    """Res(f, g) over GF(p) for nonzero polynomials mod p, by the Euclidean
-    remainder sequence."""
-    acc = 1
-    f, g = f[:], g[:]
-    while len(g) > 1:
-        df = len(f) - 1
-        r = _gf_rem(f, g, p)
-        if not r:
-            return 0
-        if df & (len(g) - 1) & 1:
-            acc = -acc
-        acc = acc * pow(g[-1], df - len(r) + 1, p) % p
-        f, g = g, r
-    return acc * pow(g[0], len(f) - 1, p) % p
 
 
 def _gf_samples(a: Sequence[int], b: Sequence[int], p: int, count: int) -> list[int]:
@@ -227,7 +205,7 @@ def _gf_samples(a: Sequence[int], b: Sequence[int], p: int, count: int) -> list[
     for h in range(count):
         if h:
             fb = [x % p for x in _shift_ints(fb, 1)]
-        values.append(_gf_resultant(fa, fb, p))
+        values.append(_gf_euclid(fa[:], fb[:], p)[1])
     return values
 
 

@@ -96,7 +96,8 @@ def _degree(value: RatFunc) -> int:
 
 def _size(value: RatFunc) -> int:
     """A bound on the bit length of every numerator and denominator of the
-    rational coefficients of a value's numerator and denominator."""
+    rational coefficients of a value's numerator and denominator: never
+    below `_bits`, and equal to it when the coefficients are integers."""
     bits = 0
     for p in (value.num, value.den):
         prim = p.primitive
@@ -106,12 +107,20 @@ def _size(value: RatFunc) -> int:
     return bits
 
 
+def _bits(value: RatFunc) -> int:
+    """The bit length of the largest numerator or denominator of the rational
+    coefficients of a value's numerator and denominator."""
+    coeffs = value.num.coeffs + value.den.coeffs
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)
+
+
 def _checked(value: RatFunc, offset: int) -> RatFunc:
     """value, when its degree and bits are within their bounds; otherwise
-    a ParseError at offset."""
+    a ParseError at offset.  The bits are measured exactly only when the
+    cheap bound `_size` is past MAX_COEFF_BITS."""
     if _degree(value) > MAX_DEGREE:
         raise ParseError(_PAST_DEGREE, offset)
-    if _size(value) > MAX_COEFF_BITS:
+    if _size(value) > MAX_COEFF_BITS and _bits(value) > MAX_COEFF_BITS:
         raise ParseError(_PAST_BITS, offset)
     return value
 

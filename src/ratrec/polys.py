@@ -43,9 +43,12 @@ most four), and every image is merged by CRT until the lifted candidate
 divides both inputs exactly.  Euclid modulo a squarefree product is
 Euclid modulo each of its primes at once while every leading coefficient
 is a unit; a modulus that meets a zero divisor is dropped, as an unlucky
-prime is.  Both routes return the classical monic gcd g exactly, and the
-exact divisions that accept g compute a / g and b / g: `cofactors` returns
-them with g, so a caller that divides g out never divides again.
+prime is.  Every gcd modulo p and the resultant samples of `dispersion`
+run one Euclidean remainder sequence, `_gf_euclid`, which yields the last
+nonzero remainder and the resultant together.  Both routes return the
+classical monic gcd g exactly, and the exact divisions that accept g
+compute a / g and b / g: `cofactors` returns them with g, so a caller that
+divides g out never divides again.
 """
 
 from __future__ import annotations
@@ -133,12 +136,8 @@ class Poly:
             self._content, self._prim, self._coeffs = _F0, (), ()
             return
         den = math.lcm(*[c.denominator for c in cs])
-        ints = [c.numerator * (den // c.denominator) for c in cs]
-        g = math.gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
+        g, self._prim = _primitive([c.numerator * (den // c.denominator) for c in cs])
         self._content = Fraction(g, den)
-        self._prim = tuple([x // g for x in ints]) if g != 1 else tuple(ints)
         self._coeffs = None
 
     # -- constructors -------------------------------------------------
@@ -348,19 +347,23 @@ def _make(content: Fraction, prim: tuple[int, ...]) -> Poly:
     return p
 
 
+def _primitive(ints: list[int]) -> tuple[int, tuple[int, ...]]:
+    """(c, P) with ints = c * P and P primitive with a positive leading
+    entry, for an integer list whose last entry is nonzero."""
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return g, tuple(ints) if g == 1 else tuple([x // g for x in ints])
+
+
 def _from_ints(ints: list[int], scale: Fraction) -> Poly:
     """The Poly scale * sum ints[i] n^i, for any integer list."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
         return _ZERO
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    if g != 1:
-        ints = [x // g for x in ints]
-        scale = scale * g
-    return _make(scale, tuple(ints))
+    g, prim = _primitive(ints)
+    return _make(scale * g if g != 1 else scale, prim)
 
 
 _ZERO = Poly()
@@ -567,17 +570,16 @@ def falling_product(f: Poly, k: int) -> Poly:
 # -- gcd ----------------------------------------------------------------
 
 
-def _gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
-    """f mod g over GF(p), for lists of residues with no trailing zero and
-    g nonempty; f is reduced in place and returned."""
-    return _gf_rem_monic(f, _gf_monic_low(g, p), p)
-
-
-def _gf_monic_low(g: list[int], p: int) -> list[int]:
+def _gf_monic_low(g: "tuple[int, ...] | list[int]", p: int) -> list[int]:
     """The coefficients below the leading one of g made monic over GF(p),
     which is all `_gf_rem_monic` needs of a modulus."""
     inv = pow(g[-1], -1, p)
     return [x * inv % p for x in g[:-1]]
+
+
+def _gf_monic(f: "tuple[int, ...] | list[int]", p: int) -> list[int]:
+    """f made monic over GF(p), for a nonzero polynomial mod p."""
+    return _gf_monic_low(f, p) + [1]
 
 
 def _gf_rem_monic(f: list[int], low: list[int], p: int) -> list[int]:
@@ -593,6 +595,27 @@ def _gf_rem_monic(f: list[int], low: list[int], p: int) -> list[int]:
         while f and f[-1] == 0:
             f.pop()
     return f
+
+
+def _gf_euclid(f: list[int], g: list[int], p: int) -> tuple[list[int], int]:
+    """(r, Res(f, g) mod p) for nonzero lists of residues, both reduced in
+    place: r is the last nonzero remainder of their Euclidean sequence, a
+    gcd up to a unit, and neither is normalized further.  A step f, g ->
+    g, f mod g scales the resultant by (-1)^(deg f deg g) lc(g)^(deg f -
+    deg(f mod g)); Res(f, c) = c^deg f for a constant c ends the sequence,
+    and a zero remainder before it makes the resultant 0.  Raises
+    ValueError on a leading coefficient that is not a unit modulo p."""
+    acc = 1
+    while len(g) > 1:
+        df = len(f) - 1
+        r = _gf_rem_monic(f, _gf_monic_low(g, p), p)
+        if not r:
+            return g, 0
+        if df & (len(g) - 1) & 1:
+            acc = -acc
+        acc = acc * pow(g[-1], df - len(r) + 1, p) % p
+        f, g = g, r
+    return g, acc * pow(g[0], len(f) - 1, p) % p
 
 
 def _gf_gcd(a: "tuple[int, ...] | list[int]", b: "tuple[int, ...] | list[int]", p: int) -> list[int]:
@@ -612,10 +635,7 @@ def _gf_gcd(a: "tuple[int, ...] | list[int]", b: "tuple[int, ...] | list[int]", 
     f, g = red(a), red(b)
     if not f or not g:
         return []
-    while g:
-        f, g = g, _gf_rem(f, g, p)
-    inv = pow(f[-1], -1, p)
-    return [x * inv % p for x in f]
+    return _gf_monic(_gf_euclid(f, g, p)[0], p)
 
 
 def _heu_gcd(a: tuple[int, ...], b: tuple[int, ...], width: int) -> "tuple[tuple[int, ...], ...] | None":
@@ -635,10 +655,7 @@ def _heu_gcd(a: tuple[int, ...], b: tuple[int, ...], width: int) -> "tuple[tuple
         g.pop()
     if len(g) == 1:
         return (1,), a, b
-    content = math.gcd(*g)
-    if g[-1] < 0:
-        content = -content
-    g = tuple([x // content for x in g])
+    _, g = _primitive(g)
     if (qa := _exact_quo_ints(a, g)) is None or (qb := _exact_quo_ints(b, g)) is None:
         return None
     return g, qa, qb
@@ -717,10 +734,7 @@ def _modular_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...
         candidate = [c - modulus if c > half else c for c in acc]
         if candidate[-1] == 0:
             continue  # leading bound not yet inside the lift range
-        content = math.gcd(*candidate)
-        if candidate[-1] < 0:
-            content = -content
-        g = tuple([c // content for c in candidate])
+        _, g = _primitive(candidate)
         if (qa := _exact_quo_ints(a, g)) is not None and (qb := _exact_quo_ints(b, g)) is not None:
             return g, qa, qb
     raise AssertionError("unreachable: prime stream is infinite")
@@ -770,11 +784,7 @@ class RatFunc:
         if num.is_zero:
             return RatFunc(_ZERO, _ONE)
         _, num, den = cofactors(num, den)
-        lc = den.lc
-        if lc != 1:
-            num = num / lc
-            den = den / lc
-        return RatFunc(num, den)
+        return _monic_ratio(num, den)
 
     @staticmethod
     def from_poly(p: Poly) -> "RatFunc":
@@ -826,3 +836,13 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+def _monic_ratio(num: Poly, den: Poly) -> RatFunc:
+    """num/den as a RatFunc for a pair already known to be coprime (den
+    nonzero): only the denominator is made monic, with no gcd."""
+    lc = den.lc
+    if lc != 1:
+        num = num / lc
+        den = den / lc
+    return RatFunc(num, den)

@@ -14,7 +14,6 @@ from ratrec.expressions import (
     MAX_NESTING,
     EvalError,
     ParseError,
-    _size,
     _tokenize,
     format_value,
     parse_poly,
@@ -203,7 +202,21 @@ class TestParse:
         except (ParseError, EvalError):  # an EvalError is a division by zero
             return
         assert max(value.num.degree, value.den.degree) <= MAX_DEGREE
-        assert _size(value) <= MAX_COEFF_BITS
+        coeffs = value.num.coeffs + value.den.coeffs
+        assert max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs) <= MAX_COEFF_BITS
+
+    def test_the_bits_are_those_of_the_reduced_coefficients(self):
+        # the first value's content 1/3 times its largest primitive entry
+        # 3 * 2^4095, and the second's content denominator, the lcm 3 * 2^4095,
+        # have 4097 bits, but no reduced coefficient has more than 4096
+        top = Fraction(2**4095)
+        assert parse_poly("2^4095*n+1/3") == Poly([Fraction(1, 3), top])
+        assert parse_poly("n/3+1/2^4095") == Poly([1 / top, Fraction(1, 3)])
+        for text, offset in (("2^4095*2*n+1/3", 6), ("n/3+1/2^4096", 7)):
+            with pytest.raises(ParseError) as err:
+                parse_ratfunc(text)
+            assert err.value.offset == offset
+            assert f"above {MAX_COEFF_BITS} bits" in str(err.value)
 
     def test_past_degree_product_is_refused_before_it_is_built(self, monkeypatch):
         shorter = []

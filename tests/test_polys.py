@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ratrec.polys import (
@@ -12,7 +12,11 @@ from ratrec.polys import (
     NEG_INFINITY,
     Poly,
     RatFunc,
+    _gf_euclid,
+    _gf_gcd,
+    _gf_rem_monic,
     _max_bits,
+    _mul_ints,
     cofactors,
     divrem,
     exact_div,
@@ -21,7 +25,7 @@ from ratrec.polys import (
     shift,
 )
 
-from oracles import FracPoly, monic_ers_gcd, rand_poly, rand_ratfunc
+from oracles import FracPoly, monic_ers_gcd, rand_poly, rand_ratfunc, sylvester_resultant
 
 N = Poly.variable()
 
@@ -202,6 +206,28 @@ class TestCofactors:
         assert first_evaluation_bits(a, b) > _HEU_MAX_BITS
         # both orders, so that the shorter input is the first one or the second
         assert checked_cofactors(a, b) == checked_cofactors(b, a) == linear_product(g).monic()
+
+
+# integer polynomials of degree 0 to 5 with a nonzero leading coefficient
+int_lists = st.builds(
+    lambda low, lead: low + [lead], st.lists(st.integers(-60, 60), max_size=5), st.integers(-60, 60).filter(bool)
+)
+
+
+class TestModularEuclid:
+    # a small prime, at which random pairs often share a factor, and a word prime
+    @given(st.sampled_from([7, (1 << 61) - 1]), int_lists, int_lists, int_lists, st.booleans())
+    def test_one_sequence_gives_the_gcd_and_the_resultant(self, p, f, g, common, planted):
+        if planted:
+            f, g = list(_mul_ints(tuple(f), tuple(common))), list(_mul_ints(tuple(g), tuple(common)))
+        assume(f[-1] % p and g[-1] % p)
+        fr, gr = [x % p for x in f], [x % p for x in g]
+        r, res = _gf_euclid(fr[:], gr[:], p)
+        assert res == sylvester_resultant(Poly(f), Poly(g)) % p
+        assert (res == 0) == (len(r) >= 2)
+        monic = [x * pow(r[-1], -1, p) % p for x in r]
+        assert _gf_gcd(f, g, p) == monic
+        assert _gf_rem_monic(fr, monic[:-1], p) == [] == _gf_rem_monic(gr, monic[:-1], p)
 
 
 class TestShift:
