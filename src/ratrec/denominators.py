@@ -7,8 +7,8 @@ extraction step, and differ only in seed, direction and denominator:
 Abramov's loop runs the shift index downward starting from (pd(n-d), p0(n));
 the GP loop runs it upward starting from (a(n), b(n)).  Each yields a
 universal denominator; the GP one always divides the Abramov one.  The
-representations keep each ratio in the normal form of `polys`: coprime,
-with a monic denominator.
+representations keep the ratio a/b in the normal form of `polys`:
+coprime, with a monic denominator.
 """
 
 from __future__ import annotations
@@ -136,10 +136,11 @@ def _extract(x: Poly, y: Poly, order: range, witnessed: set[int]) -> tuple[tuple
 
 
 def _normalized_rep(a: Poly, b: Poly, num_factor: Poly, den_factor: Poly, shift_factor: Poly) -> GosperRep:
-    """The representation of the coprime a/b with these factors, both
-    ratios in their normal form: num_factor takes den_factor's scalar."""
-    factors = _monic_ratio(num_factor, den_factor)
-    return GosperRep(_monic_ratio(a, b), factors.num, factors.den, shift_factor)
+    """The representation of the coprime a/b with these factors: the ratio
+    in its normal form, and num_factor taking den_factor's leading
+    coefficient.  The factors need not be coprime, so they stay a pair."""
+    lc = den_factor.lc
+    return GosperRep(_monic_ratio(a, b), num_factor / lc, den_factor / lc, shift_factor)
 
 
 def gosper_rep_from_abramov(a: Poly, b: Poly) -> GosperRep:

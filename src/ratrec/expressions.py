@@ -14,10 +14,12 @@ is ASCII, so that offset counts characters and bytes alike.
 '^' binds tightest and takes a bare nonnegative integer literal exponent.
 Parentheses and unary minus signs nest at most MAX_NESTING levels deep;
 deeper input is a ParseError at the offending token.
-Values stay within MAX_DEGREE and MAX_COEFF_BITS, measured exactly: an
-integer literal is checked as it is read, and every operator checks the
-degree and bits of the value it built, a ParseError at the operator past
-either bound.  Two refusals come first, so that building stays cheap: '*'
+Values stay within MAX_DEGREE and MAX_COEFF_BITS, measured exactly, the
+bits of a polynomial being those of N and L when it is written as N(n)/L
+over the least common denominator L of its coefficients: an integer
+literal is checked as it is read, and every operator checks the degree
+and bits of the value it built, a ParseError at the operator past either
+bound.  Two refusals come first, so that building stays cheap: '*'
 and '/' refuse a degree past MAX_DEGREE however much cancels, and '^e'
 refuses e times its base's degree past MAX_DEGREE or, unless the base is
 1 or -1, e times its base's bits past twice MAX_COEFF_BITS.
@@ -78,9 +80,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # recurses once per level, so the bound keeps it inside the interpreter's stack.
 MAX_NESTING = 100
 # Bounds on every parsed value: the degree of its numerator and denominator,
-# and the bits of each numerator and denominator of their coefficients.  The
-# cost of later steps grows with both, and a single '^' can raise them
-# without limit.
+# and the bits of each, written over the least common denominator of its
+# coefficients (`_size`).  The cost of later steps grows with both, and a
+# single '^' can raise them without limit.
 MAX_DEGREE = 1000
 MAX_COEFF_BITS = 4096
 # a literal with more digits than 2^MAX_COEFF_BITS is past the bound unread
@@ -95,9 +97,11 @@ def _degree(value: RatFunc) -> int:
 
 
 def _size(value: RatFunc) -> int:
-    """A bound on the bit length of every numerator and denominator of the
-    rational coefficients of a value's numerator and denominator: never
-    below `_bits`, and equal to it when the coefficients are integers."""
+    """The bits of a value, measured exactly.  Its numerator and denominator
+    are each u/L times a primitive form P, the integers every later step
+    computes with; L is the least common denominator of the coefficients,
+    so the polynomial is N(n)/L with N = u*P.  The bits are the largest bit
+    length of L and of the coefficients of N."""
     bits = 0
     for p in (value.num, value.den):
         prim = p.primitive
@@ -107,20 +111,12 @@ def _size(value: RatFunc) -> int:
     return bits
 
 
-def _bits(value: RatFunc) -> int:
-    """The bit length of the largest numerator or denominator of the rational
-    coefficients of a value's numerator and denominator."""
-    coeffs = value.num.coeffs + value.den.coeffs
-    return max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)
-
-
 def _checked(value: RatFunc, offset: int) -> RatFunc:
     """value, when its degree and bits are within their bounds; otherwise
-    a ParseError at offset.  The bits are measured exactly only when the
-    cheap bound `_size` is past MAX_COEFF_BITS."""
+    a ParseError at offset."""
     if _degree(value) > MAX_DEGREE:
         raise ParseError(_PAST_DEGREE, offset)
-    if _size(value) > MAX_COEFF_BITS and _bits(value) > MAX_COEFF_BITS:
+    if _size(value) > MAX_COEFF_BITS:
         raise ParseError(_PAST_BITS, offset)
     return value
 

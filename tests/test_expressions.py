@@ -1,5 +1,6 @@
 """Expression parsing, evaluation, and formatting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from ratrec.expressions import (
     MAX_NESTING,
     EvalError,
     ParseError,
+    _size,
     _tokenize,
     format_value,
     parse_poly,
@@ -202,21 +204,26 @@ class TestParse:
         except (ParseError, EvalError):  # an EvalError is a division by zero
             return
         assert max(value.num.degree, value.den.degree) <= MAX_DEGREE
-        coeffs = value.num.coeffs + value.den.coeffs
-        assert max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs) <= MAX_COEFF_BITS
+        assert _size(value) <= MAX_COEFF_BITS
 
-    def test_the_bits_are_those_of_the_reduced_coefficients(self):
-        # the first value's content 1/3 times its largest primitive entry
-        # 3 * 2^4095, and the second's content denominator, the lcm 3 * 2^4095,
-        # have 4097 bits, but no reduced coefficient has more than 4096
-        top = Fraction(2**4095)
-        assert parse_poly("2^4095*n+1/3") == Poly([Fraction(1, 3), top])
-        assert parse_poly("n/3+1/2^4095") == Poly([1 / top, Fraction(1, 3)])
-        for text, offset in (("2^4095*2*n+1/3", 6), ("n/3+1/2^4096", 7)):
+    @given(st.lists(st.fractions(max_denominator=2**80).filter(bool), min_size=1, max_size=6))
+    def test_the_bits_are_those_over_the_least_common_denominator(self, coeffs):
+        lcd = math.lcm(*(c.denominator for c in coeffs))
+        bits = max(lcd.bit_length(), *((c * lcd).numerator.bit_length() for c in coeffs))
+        assert _size(RatFunc.from_poly(Poly(coeffs))) == bits
+
+    def test_a_coefficient_within_the_bound_can_be_past_it_over_the_lcd(self):
+        # 2^4095*n + 1/3 = (3*2^4095*n + 1)/3 and n/3 + 1/2^4095 =
+        # (2^4095*n + 3)/(3*2^4095) have 4097 bits over their least common
+        # denominators, and n/2^4095 + 2^4095 = (n + 2^8190)/2^4095 has 8191,
+        # though no reduced coefficient has more than 4096
+        for text, offset in (("2^4095*n+1/3", 8), ("n/3+1/2^4095", 3), ("n/2^4095+2^4095", 8)):
             with pytest.raises(ParseError) as err:
                 parse_ratfunc(text)
             assert err.value.offset == offset
             assert f"above {MAX_COEFF_BITS} bits" in str(err.value)
+        assert parse_poly("2^4094*n+1/3") == Poly([Fraction(1, 3), 2**4094])
+        assert parse_poly("n/3+1/2^4094") == Poly([Fraction(1, 2**4094), Fraction(1, 3)])
 
     def test_past_degree_product_is_refused_before_it_is_built(self, monkeypatch):
         shorter = []
