@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .dispersion import dispersion
+from .gcdseq import _require_order
 from .polys import Poly, RatFunc, _monic_ratio, cofactors, falling_product, gcd_monic, shift
 
 
@@ -91,6 +92,7 @@ def abramov_reduce(p0: Poly, pd: Poly, d: int) -> AbramovTrace:
     falling factorials.  Only the shifts the dispersion names as witnesses
     can give a nontrivial gcd; every other step records 1 without a gcd.
     """
+    _require_order(d)
     if p0.is_zero or pd.is_zero:
         raise ValueError("reduction needs nonzero coefficient polynomials")
     lead = shift(pd, -d)

@@ -8,17 +8,21 @@ coefficient pd, define
 
 The sequence G_1, G_2, ... stabilizes at k = N + 1 where N is the
 dispersion of pd(n-d) against p0(n); the stable value is a universal
-denominator for the rational solutions of the equation.  The same limit
-has a closed form as a single gcd of two falling-factorial products, and
-`universal_denominator` computes it along that second, independent route.
+denominator for the rational solutions of the equation.  `gcd_limit`
+steps through the sequence with one small gcd per witness shift, on
+primitive integer tuples through the integer gcd kernel of `polys`.  The
+same limit has a closed form as a single gcd of two falling-factorial
+products, and `universal_denominator` computes it along that second,
+independent route.  Every entry point refuses an order d below 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .dispersion import dispersion
-from .polys import Poly, cofactors, falling_product, gcd_monic, shift
+from .polys import Poly, _int_gcd, _make, _mul_ints, _shift_ints, falling_product, gcd_monic, shift
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,7 @@ class GcdLimit:
 
 def gcd_term(p0: Poly, pd: Poly, d: int, k: int) -> Poly:
     """The k-th member G_k of the gcd sequence (k >= 1), monic."""
+    _require_order(d)
     if p0.is_zero or pd.is_zero:
         raise ValueError("gcd sequence needs nonzero coefficient polynomials")
     if k < 1:
@@ -68,7 +73,14 @@ def gcd_limit(p0: Poly, pd: Poly, d: int) -> GcdLimit:
     i + k a witness, using gcd(xy, b) = gcd(x, b) * gcd(y, b / gcd(x, b));
     gcd(a_k, V_k) likewise, and the last gcd only when 2k is a witness.
     No step forms either product.
+
+    Every G_k is monic and a remnant matters only up to a unit, so the loop
+    runs on primitive integer tuples through the integer gcd kernel, with
+    no content: G_k is kept as its primitive form, and each trace entry
+    becomes a monic Poly once, shared by the entries up to the next
+    nontrivial step.
     """
+    _require_order(d)
     if p0.is_zero or pd.is_zero:
         raise ValueError("gcd sequence needs nonzero coefficient polynomials")
     lead = shift(pd, -d)
@@ -77,36 +89,45 @@ def gcd_limit(p0: Poly, pd: Poly, d: int) -> GcdLimit:
     if n_max < 0:
         return GcdLimit(-1, Poly.one(), ())
     witnessed = [k for k, _ in shifts.witnesses]
-    rest_a: list[Poly] = []  # U_k, as the remnants of a_0 .. a_{k-1}
-    rest_b: list[Poly] = []  # V_k, as the remnants of b_0 .. b_{k-1}
+    a0, b0 = p0.primitive, lead.primitive
+    rest_a: list[tuple[int, ...]] = []  # U_k, as the remnants of a_0 .. a_{k-1}
+    rest_b: list[tuple[int, ...]] = []  # V_k, as the remnants of b_0 .. b_{k-1}
     trace = []
-    g = Poly.one()
+    g: tuple[int, ...] = (1,)
+    monic = Poly.one()
     for k in range(n_max + 1):
         partners = [w - k for w in witnessed if k <= w < 2 * k]
-        b, from_u = _peel(rest_a, partners, shift(lead, -k))
-        a, from_v = _peel(rest_b, partners, shift(p0, k))
-        step = from_u * from_v
+        b, from_u = _peel(rest_a, partners, _shift_ints(b0, -k))
+        a, from_v = _peel(rest_b, partners, _shift_ints(a0, k))
+        step = _mul_ints(from_u, from_v)
         if 2 * k in witnessed:
-            fresh, a, b = cofactors(a, b)
-            if fresh.degree > 0:
-                step = step * fresh
+            fresh, a, b = _int_gcd(a, b)
+            step = _mul_ints(step, fresh)
         rest_a.append(a)
         rest_b.append(b)
-        if step.degree > 0:
-            g = g * step
-        trace.append(g)
-    return GcdLimit(n_max, g, tuple(trace))
+        if len(step) > 1:
+            g = _mul_ints(g, step)
+            monic = _make(Fraction(1, g[-1]), g)
+        trace.append(monic)
+    return GcdLimit(n_max, monic, tuple(trace))
 
 
-def _peel(remnants: list[Poly], indices: list[int], p: Poly) -> tuple[Poly, Poly]:
+def _peel(
+    remnants: list[tuple[int, ...]], indices: list[int], p: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Divide h = gcd(prod of remnants[i] for i in indices, p) out of p and
-    out of those remnants, in place; returns (p / h, h)."""
-    found = Poly.one()
+    out of those remnants, in place, all primitive; returns (p / h, h)."""
+    found: tuple[int, ...] = (1,)
     for i in indices:
-        h, remnants[i], p = cofactors(remnants[i], p)
-        if h.degree > 0:
-            found = found * h
+        h, remnants[i], p = _int_gcd(remnants[i], p)
+        found = _mul_ints(found, h)
     return p, found
+
+
+def _require_order(d: int) -> None:
+    """Refuse an equation order below 1, as `LinearRecurrence` does."""
+    if d < 1:
+        raise ValueError("the equation order d must be positive")
 
 
 def universal_denominator(p0: Poly, pd: Poly, d: int) -> Poly:
@@ -116,8 +137,7 @@ def universal_denominator(p0: Poly, pd: Poly, d: int) -> Poly:
     gcd([p0(n+N)] falling (N+1), [pd(n-d)] falling (N+1)); returns 1 when
     the dispersion N is -1.
     """
-    if d < 1:
-        raise ValueError("the equation order d must be positive")
+    _require_order(d)
     if p0.is_zero or pd.is_zero:
         raise ValueError("universal denominator needs nonzero coefficients")
     n_max = dispersion(shift(pd, -d), p0).value

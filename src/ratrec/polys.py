@@ -26,6 +26,11 @@ J. Symbolic Computation 7, 1989): both inputs are evaluated at xi = 256^w
 by packing their coefficients into w-byte slots; the integer gcd of the
 two values is split back into symmetric xi-adic digits, and the primitive
 part of that polynomial is the gcd when it divides both inputs exactly.
+An integer gcd below xi / 2 is a single digit, so the inputs are coprime
+and nothing is unpacked.  Short inputs, the many small gcds of the gcd
+sequence among them, are packed by shift-and-add Horner and read back by
+mask and shift, which cost less there than byte strings
+(`_PACK_BYTES_MIN_LEN`).
 The smallest admissible w, with xi at least twice the smaller input's
 largest coefficient plus 2, chooses the route: the heuristic runs only
 while that packed value, w bytes times the longer input's length, stays
@@ -89,6 +94,16 @@ _KRONECKER_MIN_LEN = 12
 _GCD_INPUT_BITS_PER_ANSWER_BIT = 2
 _GCD_MODULUS_MAX_BITS = 240
 
+# A list shorter than this is packed into one integer by shift-and-add Horner
+# and read back by mask and shift; from this length on both go through one
+# byte string.  Horner against byte strings, per call (2-vCPU Xeon VM, Python
+# 3.11.7): packing 8 coefficients into 9-byte slots 0.4 against 1.6 us,
+# reading them back 1.1 against 1.8 us; 16 coefficients 1.0 against 2.8 and
+# 2.3 against 2.9 us.  Byte strings win from about 20 to 30 coefficients on,
+# sooner in wider slots: 24 digits of 32 bytes read back in 6.4 against
+# 5.6 us, 24 coefficients packed into 64 bytes in 7.9 against 6.8 us.
+_PACK_BYTES_MIN_LEN = 16
+
 # The heuristic gcd runs only while 8 w * max(len(a), len(b)), the bits of a
 # packed evaluation at xi = 256^w, is at most this; larger gcds take the
 # modular route.  Heuristic over modular time on planted pairs (g*u, g*v,
@@ -96,11 +111,14 @@ _GCD_MODULUS_MAX_BITS = 240
 # below 0.6 up to 1 Mbit with coefficients of at most 1000 bits), but
 # 1.10-1.13 from 132 kbit at degree 16-32 with 4000-8000-bit coefficients
 # and 1.2-2.0 from 200 kbit with 4000 bits.  Coprime pairs favour the
-# modular route sooner when coefficients are wide, since one pass proves
-# them coprime: 2.1 / 3.2 at 34 / 66 kbit with 2000 bits at degree 16 / 32,
-# but 0.02-0.15 with 64-256 bits at degrees 50 to 1000.  The largest first
-# evaluation among the seed-1 benchmark requests has 30,832 bits.  (2-vCPU
-# Xeon VM, Python 3.11.7.)
+# modular route sooner when coefficients are wide, since its first pass,
+# modulo one prime, proves them coprime: 1.0-1.1 against 0.2 ms (34 kbit)
+# and 3.7 against 0.5 ms (66 kbit) with 2000 bits at degree 16 / 32, but
+# 0.06-0.33 with 64-256 bits at degrees 50 to 1000.  Nearly all of the
+# heuristic's time on such a pair is the integer gcd of the two values, so
+# its early return on a coprime pair, before any unpacking, does not move
+# these ratios.  The largest first evaluation among the seed-1 benchmark
+# requests has 30,832 bits.  (2-vCPU Xeon VM, Python 3.11.7.)
 _HEU_MAX_BITS = 1 << 16
 
 # The heuristic gcd starts this many bytes wider than the smallest admissible
@@ -387,7 +405,18 @@ def _max_bits(a: "tuple[int, ...] | list[int]") -> int:
 
 
 def _pack(a: "tuple[int, ...] | list[int]", width: int) -> int:
-    """sum a[i] * 256^(width*i) for signed a[i] with |a[i]| < 256^width."""
+    """sum a[i] * 256^(width*i) for signed a[i] with |a[i]| < 256^width.
+
+    A list shorter than _PACK_BYTES_MIN_LEN is evaluated by shift-and-add
+    Horner, which takes entries of any size; a longer one is joined from
+    byte strings.
+    """
+    if len(a) < _PACK_BYTES_MIN_LEN:
+        bits = 8 * width
+        value = 0
+        for x in reversed(a):
+            value = (value << bits) + x
+        return value
     blank = bytes(width)
     value = int.from_bytes(b"".join([x.to_bytes(width, "little") if x > 0 else blank for x in a]), "little")
     if min(a) < 0:
@@ -403,8 +432,11 @@ def _pack_wide(a: "tuple[int, ...] | list[int]", width: int) -> int:
     A coefficient wider than a slot takes s consecutive slots, and those of
     a[i] and a[i+s] do not overlap, so the value is the sum of s packings of
     every s-th coefficient into s-slot-wide slots: linear in the input's
-    bytes, where Horner's rule multiplies ever longer integers.
+    bytes, where Horner's rule multiplies ever longer integers.  A short
+    list goes to Horner's rule at once.
     """
+    if len(a) < _PACK_BYTES_MIN_LEN:
+        return _pack(a, width)
     s = -(-_max_bits(a) // (8 * width))
     if s <= 1:
         return _pack(a, width)
@@ -416,10 +448,25 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
     """The `count` signed digits of base 256^width in value, each of absolute
     value below 256^width / 2.
 
-    Adding half a slot to every digit makes them all nonnegative, so each
-    slot is read on its own with no borrow passing between slots.
+    Fewer than _PACK_BYTES_MIN_LEN digits are read by mask and shift, with a
+    carry into the rest of the value after each negative digit.  More are
+    read from one byte string: adding half a slot to every digit makes them
+    all nonnegative, so each slot is read on its own with no borrow passing
+    between slots.
     """
-    half = 1 << (8 * width - 1)
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    if count < _PACK_BYTES_MIN_LEN:
+        mask = (1 << bits) - 1
+        digits = []
+        for _ in range(count):
+            d = value & mask
+            value >>= bits
+            if d >= half:
+                d -= mask + 1
+                value += 1
+            digits.append(d)
+        return digits
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
     data = (value + offset).to_bytes(width * count, "little")
     frm = int.from_bytes
@@ -650,11 +697,11 @@ def _heu_gcd(a: tuple[int, ...], b: tuple[int, ...], width: int) -> "tuple[tuple
     bound, below xi / 2, so a nonconstant q would have |q(xi)| > xi / 2.
     """
     h = math.gcd(_pack_wide(a, width), _pack_wide(b, width))
+    if h.bit_length() < 8 * width:
+        return (1,), a, b  # h < xi / 2 is its own single digit: a constant gcd
     g = _unpack(h, width, h.bit_length() // (8 * width) + 2)
     while not g[-1]:
         g.pop()
-    if len(g) == 1:
-        return (1,), a, b
     _, g = _primitive(g)
     if (qa := _exact_quo_ints(a, g)) is None or (qb := _exact_quo_ints(b, g)) is None:
         return None
@@ -662,9 +709,10 @@ def _heu_gcd(a: tuple[int, ...], b: tuple[int, ...], width: int) -> "tuple[tuple
 
 
 def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """(g, a / g, b / g) for the primitive gcd g of primitive a, b of degree >= 1.
+    """(g, a / g, b / g) for the primitive gcd g of nonzero primitive a, b.
 
-    The route is read off the smallest admissible xi = 256^w: the heuristic
+    A constant input, or two equal ones, need no kernel.  Otherwise the
+    route is read off the smallest admissible xi = 256^w: the heuristic
     gcd runs when 8 w * max(len(a), len(b)) is at most _HEU_MAX_BITS, and
     the modular gcd answers otherwise.  The heuristic starts
     _HEU_HEADROOM_BYTES wider than that w, or as wide as the limit allows
@@ -672,6 +720,10 @@ def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], .
     it stays within the limit.  A
     failure means xi met a spurious common factor of the cofactors' values,
     a divisor of their resultant, so a wide enough xi always succeeds."""
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
+    if a == b:
+        return a, (1,), (1,)
     width = min(_max_bits(a), _max_bits(b)) // 8 + 1
     length = max(len(a), len(b))
     if 8 * width * length <= _HEU_MAX_BITS:
@@ -744,15 +796,9 @@ def cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """(g, a / g, b / g) for the monic gcd g of a and b, nonzero.  The gcd
     kernel computes both quotients when it checks g, so they cost no
     further division; when g is 1 they are a and b themselves."""
-    pa, pb = a._prim, b._prim
-    if len(pa) == 1 or len(pb) == 1:
+    g, qa, qb = _int_gcd(a._prim, b._prim)
+    if len(g) == 1:
         return _ONE, a, b
-    if pa == pb:
-        g, qa, qb = pa, (1,), (1,)
-    else:
-        g, qa, qb = _int_gcd(pa, pb)
-        if len(g) == 1:
-            return _ONE, a, b
     lead = g[-1]
     return _make(Fraction(1, lead), g), _make(a._content * lead, qa), _make(b._content * lead, qb)
 

@@ -53,6 +53,11 @@ class TestAbramovReduce:
         with pytest.raises(ValueError):
             abramov_reduce(Poly.zero(), N, 1)
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_order_must_be_positive(self, d):
+        with pytest.raises(ValueError, match="the equation order d must be positive"):
+            abramov_reduce(N + 1, N + 3, d)
+
     def test_residuals_reconstruct_the_inputs(self):
         rng = random.Random(51)
         for _ in range(40):

@@ -33,6 +33,11 @@ class TestGcdTerm:
         with pytest.raises(ValueError):
             gcd_term(N, N, 1, 0)
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_order_must_be_positive(self, d):
+        with pytest.raises(ValueError, match="the equation order d must be positive"):
+            gcd_term(N + 1, N + 3, d, 1)
+
 
 class TestGcdLimit:
     def test_order_one_case(self):
@@ -54,6 +59,12 @@ class TestGcdLimit:
         assert limit.max_shift == -1
         assert limit.limit == Poly.one()
         assert limit.trace == ()
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_order_must_be_positive(self, d):
+        # at order 0 this pair's sequence would reach a limit of degree 3
+        with pytest.raises(ValueError, match="the equation order d must be positive"):
+            gcd_limit(N + 1, N + 3, d)
 
     def test_trace_is_divisibility_chain_ending_at_limit(self):
         rng = random.Random(41)

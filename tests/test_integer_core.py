@@ -17,6 +17,7 @@ from ratrec.intutil import CRT_PRIMES, PrimeStream, is_probable_prime
 from ratrec.polys import (
     _HEU_MAX_BITS,
     _KRONECKER_MIN_LEN,
+    _PACK_BYTES_MIN_LEN,
     Poly,
     RatFunc,
     divrem,
@@ -26,7 +27,14 @@ from ratrec.polys import (
     shift,
 )
 
-from oracles import FracPoly, gcd_limit_by_products, planted_pair, random_coprime_pair, reduction_at_every_shift
+from oracles import (
+    FracPoly,
+    gcd_limit_by_products,
+    monic_ers_gcd,
+    planted_pair,
+    random_coprime_pair,
+    reduction_at_every_shift,
+)
 
 big_ints = st.integers(-(10**30), 10**30)
 small_ints = st.integers(-9, 9)
@@ -325,11 +333,56 @@ def record_widths(monkeypatch) -> list[int]:
     return widths
 
 
+def by_bytes_and_by_shifts(fn, *args):
+    """fn(*args) with every list packed and read through byte strings, after
+    checking that shift-and-add, at every length, gives the same."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "_PACK_BYTES_MIN_LEN", 0)
+        by_bytes = fn(*args)
+        mp.setattr(polys, "_PACK_BYTES_MIN_LEN", 1 << 30)
+        assert fn(*args) == by_bytes
+    return by_bytes
+
+
+# lists on both sides of the length at which packing turns to byte strings
+packing_lengths = {"min_size": 1, "max_size": 2 * _PACK_BYTES_MIN_LEN}
+
+
 class TestHeuristicGcd:
-    @given(st.lists(big_ints, min_size=1, max_size=12).filter(any), st.integers(1, 6))
+    @given(st.lists(st.one_of(big_ints, small_ints), **packing_lengths).filter(any), st.integers(1, 6))
     def test_packing_any_size_is_evaluation(self, cs, width):
+        # entries up to 100 bits take several slots of up to 48 bits
         xi = 256**width
-        assert polys._pack_wide(cs, width) == sum(c * xi**i for i, c in enumerate(cs))
+        assert by_bytes_and_by_shifts(polys._pack_wide, cs, width) == sum(c * xi**i for i, c in enumerate(cs))
+
+    @given(st.integers(1, 6).flatmap(lambda w: st.tuples(
+        st.just(w),
+        st.lists(st.one_of(st.just(0), st.integers(-(1 << (8 * w - 1)), (1 << (8 * w - 1)) - 1)), **packing_lengths),
+        st.integers(0, 2),
+    )))
+    def test_symmetric_digits_are_read_back(self, case):
+        # count runs past the top digit, as in the heuristic gcd, where the
+        # extra digits must read 0
+        width, digits, extra = case
+        xi = 256**width
+        value = by_bytes_and_by_shifts(polys._pack, digits, width)
+        assert value == sum(c * xi**i for i, c in enumerate(digits))
+        assert by_bytes_and_by_shifts(polys._unpack, value, width, len(digits) + extra) == digits + [0] * extra
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        int_polys(st.integers(1, 5), st.integers(1, 40)),
+        int_polys(st.integers(1, 30), st.integers(1, 40)),
+        int_polys(st.integers(1, 30), st.integers(1, 40)),
+        st.booleans(),
+    )
+    def test_int_gcd_returns_the_gcd_and_both_cofactors(self, g, u, v, equal):
+        # inputs of 1 to 34 coefficients, constants and equal pairs included
+        a, b = g * u, g * (u if equal else v)
+        found = polys._int_gcd(a.primitive, b.primitive)
+        gp = assert_cofactors(a.primitive, b.primitive, found)
+        assert math.gcd(*gp) == 1 and gp[-1] > 0
+        assert Poly(gp).monic() == monic_ers_gcd(a, b)
 
     @given(st.lists(big_ints, min_size=1, max_size=10), st.lists(small_ints, min_size=1, max_size=5).filter(any))
     def test_exact_quotient_or_none(self, a, b):
@@ -444,6 +497,19 @@ class TestHeuristicGcd:
         gcd_agrees_everywhere(lead, trail)
 
 
+# factors n - r, 2n - 2r - 1 and (n - r)^2 + 1 drawn from a few r, so that
+# p0 and pd meet at several shifts, some of them twice a step
+factor_lists = st.lists(st.tuples(st.sampled_from(["root", "half", "quadratic"]), st.integers(-6, 12)), max_size=5)
+
+
+def product_of(scale: int, factors) -> Poly:
+    n = Poly.variable()
+    p = Poly.const(scale)
+    for kind, r in factors:
+        p = p * {"root": n - r, "half": 2 * n - 2 * r - 1, "quadratic": (n - r) ** 2 + 1}[kind]
+    return p
+
+
 class TestGcdSequence:
     def test_traces_match_the_product_definition(self):
         rng = random.Random(2024)
@@ -465,6 +531,32 @@ class TestGcdSequence:
                 pd = pd * (n - rng.randint(-6, 12))
             d = rng.randint(1, 3)
             assert gcd_limit(p0, pd, d) == gcd_limit_by_products(p0, pd, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, -2, 3]),
+        factor_lists,
+        st.sampled_from([1, -1, 5]),
+        factor_lists,
+        st.integers(1, 3),
+    )
+    def test_random_traces_match_the_product_definition(self, c0, f0, cd, fd, d):
+        p0, pd = product_of(c0, f0), product_of(cd, fd)
+        found, expected = gcd_limit(p0, pd, d), gcd_limit_by_products(p0, pd, d)
+        assert found.max_shift == expected.max_shift
+        assert found.limit == expected.limit
+        assert found.trace == expected.trace
+        for g in found.trace:
+            assert g.content == Fraction(1, g.primitive[-1])
+            assert math.gcd(*g.primitive) == 1 and g.primitive[-1] > 0
+
+    def test_a_witness_at_twice_the_step(self):
+        # pd(n-1) = n and p0 = n - 2 meet only at shift 2, so G_2 is the gcd
+        # of a_1 = p0(n+1) and b_1 = pd(n-2) alone, both n - 1
+        n = Poly.variable()
+        found = gcd_limit(n - 2, n + 1, 1)
+        assert found.trace == (Poly.one(), n - 1, n * (n - 1) * (n - 2))
+        assert found == gcd_limit_by_products(n - 2, n + 1, 1)
 
     def test_repeated_and_overlapping_factors(self):
         n = Poly.variable()
