@@ -37,6 +37,7 @@ from .pipelines import (
     verify_rational,
 )
 from .polys import (
+    InputError,
     Poly,
     Rational,
     RatFunc,
@@ -62,6 +63,7 @@ __all__ = [
     "GosperRep",
     "GosperSolution",
     "GPTrace",
+    "InputError",
     "LinearRecurrence",
     "ParseError",
     "Poly",

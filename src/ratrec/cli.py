@@ -2,10 +2,11 @@
 
 Commands: dispersion, denominator, gosper, gp-rep, ratsolve, verify.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
-1 for "no solution" / failed-verification outcomes, 2 on input errors,
-3 when any other exception escapes a command (a fault in ratrec; its
-traceback goes to stderr).  A reader that closes stdout early does not
-change the exit code.
+1 for "no solution" / failed-verification outcomes, 2 for an input error,
+which is a `ratrec.InputError` (syntax errors included) or a --file that
+cannot be read, and 3 for every other exception that escapes a command (a
+fault in ratrec; its traceback goes to stderr).  A reader that closes
+stdout early does not change the exit code.
 With --json, stdout carries a single envelope
 {"status": "ok"|"no_solution"|"error", "command": ..., "result": ...}.
 """
@@ -21,10 +22,10 @@ import traceback
 
 from .denominators import abramov_reduce, check_gp_rep, gp_rep_from_trace, gp_reduce
 from .dispersion import dispersion
-from .expressions import MAX_DEGREE, EvalError, ParseError, parse_poly, parse_ratfunc
-from .gcdseq import gcd_limit
+from .expressions import MAX_DEGREE, parse_poly, parse_ratfunc
+from .gcdseq import _check_pair, gcd_limit
 from .pipelines import gosper, rational_solve, verify_gosper, verify_rational
-from .polys import Poly, RatFunc
+from .polys import InputError, Poly, RatFunc
 from .recurrences import LinearRecurrence
 
 
@@ -42,41 +43,37 @@ def _ratfunc_json(r: RatFunc) -> dict:
     return {"pretty": pretty, "num": num, "den": den}
 
 
-class _CommandError(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
-
-def _file_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
-
-
-def _expressions(args, names: list[str], count: int | None = None) -> list[str]:
-    """Expression strings for a command, from positionals or --file."""
-    if args.file is not None:
-        lines = _file_lines(args.file)
-        if count is not None and len(lines) != count:
-            raise _CommandError(f"--file needs exactly {count} expression line(s), got {len(lines)}")
-        return lines
-    values = [getattr(args, name) for name in names]
-    if any(v is None for v in values):
-        missing = [n for n, v in zip(names, values) if v is None]
-        raise _CommandError(f"missing expression argument(s): {', '.join(missing)} (or use --file)")
-    return values
-
-
-def _nonzero_poly(text: str, what: str) -> Poly:
-    p = parse_poly(text)
-    if p.is_zero:
-        raise _CommandError(f"{what} must be a nonzero polynomial")
-    return p
+def _inputs(args, names: list[str], coeffs: bool = False) -> list:
+    """A command's expression strings in the order of `names`, after the
+    list of --coeffs strings when `coeffs` is set: from the arguments, or
+    one a line from --file, which excludes the arguments (--rhs has a
+    default, so it never counts as given).  In a file the coefficients are
+    the lines before the last len(names)."""
+    labels = (["coeffs"] if coeffs else []) + names
+    values = [getattr(args, label) for label in labels]
+    if args.file is None:
+        missing = [label for label, value in zip(labels, values) if value is None]
+        if missing:
+            raise InputError(f"missing expression argument(s): {', '.join(missing)} (or use --file)")
+        return values
+    given = [label for label, value in zip(labels, values) if value is not None and label != "rhs"]
+    if given:
+        raise InputError(f"--file excludes the expression arguments, got: {', '.join(given)}")
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"--file is not UTF-8 text: {exc}") from None
+    extra = len(lines) - len(names)
+    if extra < 0 or (extra and not coeffs):
+        after = " after the coefficients" if coeffs else ""
+        raise InputError(f"--file needs {len(names)} expression line(s){after}, got {len(lines)}")
+    return [lines[:extra], *lines[extra:]] if coeffs else lines
 
 
 def _cmd_dispersion(args) -> tuple[int, dict, list[str]]:
-    first, second = _expressions(args, ["first", "second"], 2)
-    result = dispersion(_nonzero_poly(first, "first argument"), _nonzero_poly(second, "second argument"))
+    first, second = _inputs(args, ["first", "second"])
+    result = dispersion(parse_poly(first), parse_poly(second))
     witnesses = [{"shift": k, "gcd": _poly_json(g)} for k, g in result.witnesses]
     lines = [f"dispersion = {result.value}"]
     if args.verbose:
@@ -85,13 +82,9 @@ def _cmd_dispersion(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
-    trailing_text, leading_text = _expressions(args, ["trailing", "leading"], 2)
-    p0 = _nonzero_poly(trailing_text, "trailing coefficient")
-    pd = _nonzero_poly(leading_text, "leading coefficient")
-    if args.order < 1:
-        raise _CommandError("--order must be at least 1")
+    p0, pd = (parse_poly(text) for text in _inputs(args, ["trailing", "leading"]))
     if args.order > MAX_DEGREE:
-        raise _CommandError(f"--order must be at most {MAX_DEGREE}")
+        raise InputError(f"--order must be at most {MAX_DEGREE}")
     if args.method == "explicit":
         result = gcd_limit(p0, pd, args.order)
         denominator, steps = result.limit, result.trace
@@ -102,7 +95,8 @@ def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
         labels = [f"extracted at shift {i}" for i in range(result.max_shift, -1, -1)]
     else:  # gp
         if args.order != 1:
-            raise _CommandError("--method gp applies only to --order 1")
+            raise InputError("--method gp applies only to --order 1")
+        _check_pair(p0, pd, args.order)
         ratio = RatFunc.reduced(pd, p0)
         result = gp_reduce(ratio.num, ratio.den)
         denominator, steps = result.denominator, result.step_gcds
@@ -119,11 +113,8 @@ def _cmd_denominator(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_gosper(args) -> tuple[int, dict, list[str]]:
-    (ratio_text,) = _expressions(args, ["ratio"], 1)
-    ratio = parse_ratfunc(ratio_text)
-    if ratio.is_zero:
-        raise _CommandError("the term ratio must be nonzero")
-    solution = gosper(ratio)
+    (ratio_text,) = _inputs(args, ["ratio"])
+    solution = gosper(parse_ratfunc(ratio_text))
     if solution is None:
         return 1, {"reason": "no hypergeometric antidifference exists"}, [
             "no hypergeometric antidifference exists"
@@ -149,10 +140,8 @@ def _cmd_gosper(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_gp_rep(args) -> tuple[int, dict, list[str]]:
-    (ratio_text,) = _expressions(args, ["ratio"], 1)
+    (ratio_text,) = _inputs(args, ["ratio"])
     ratio = parse_ratfunc(ratio_text)
-    if ratio.is_zero:
-        raise _CommandError("the ratio must be nonzero")
     rep = gp_rep_from_trace(ratio.num, ratio.den)
     check = check_gp_rep(rep)
     payload = {
@@ -172,30 +161,9 @@ def _cmd_gp_rep(args) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
-def _coeffs_option(args) -> list[str]:
-    if args.coeffs is None:
-        raise _CommandError("missing --coeffs (or use --file)")
-    return args.coeffs
-
-
-def _parse_recurrence(coeff_texts: list[str], rhs_text: str) -> LinearRecurrence:
-    if len(coeff_texts) < 2:
-        raise _CommandError("a recurrence needs at least two coefficients (order >= 1)")
-    coeffs = tuple(parse_poly(t) for t in coeff_texts)
-    if coeffs[0].is_zero or coeffs[-1].is_zero:
-        raise _CommandError("the trailing and leading coefficients must be nonzero")
-    return LinearRecurrence(coeffs, parse_poly(rhs_text))
-
-
 def _cmd_ratsolve(args) -> tuple[int, dict, list[str]]:
-    if args.file is not None:
-        lines = _file_lines(args.file)
-        if len(lines) < 3:
-            raise _CommandError("--file needs at least 3 lines: trailing..leading coefficients, then the right-hand side")
-        coeff_texts, rhs_text = lines[:-1], lines[-1]
-    else:
-        coeff_texts, rhs_text = _coeffs_option(args), args.rhs
-    rec = _parse_recurrence(coeff_texts, rhs_text)
+    coeff_texts, rhs_text = _inputs(args, ["rhs"], coeffs=True)
+    rec = LinearRecurrence(tuple(map(parse_poly, coeff_texts)), parse_poly(rhs_text))
     result = rational_solve(rec)
     numerators = result.numerators
     payload = {
@@ -226,37 +194,25 @@ def _cmd_ratsolve(args) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
+def _verdict(ok: bool) -> tuple[int, dict, list[str]]:
+    return (0 if ok else 1), {"verified": ok}, [f"verified: {'true' if ok else 'false'}"]
+
+
 def _cmd_verify_gosper(args) -> tuple[int, dict, list[str]]:
-    ratio_text, certificate_text = _expressions(args, ["ratio", "certificate"], 2)
-    ratio = parse_ratfunc(ratio_text)
-    certificate = parse_ratfunc(certificate_text)
-    ok = verify_gosper(ratio, certificate)
-    payload = {"verified": ok}
-    return (0 if ok else 1), payload, [f"verified: {'true' if ok else 'false'}"]
+    ratio_text, certificate_text = _inputs(args, ["ratio", "certificate"])
+    return _verdict(verify_gosper(parse_ratfunc(ratio_text), parse_ratfunc(certificate_text)))
 
 
 def _cmd_verify_ratsolve(args) -> tuple[int, dict, list[str]]:
-    if args.file is not None:
-        lines = _file_lines(args.file)
-        if len(lines) < 4:
-            raise _CommandError(
-                "--file needs at least 4 lines: coefficients, right-hand side, then the candidate solution"
-            )
-        coeff_texts, rhs_text, solution_text = lines[:-2], lines[-2], lines[-1]
-    else:
-        if args.solution is None:
-            raise _CommandError("missing --solution (or use --file)")
-        coeff_texts, rhs_text, solution_text = _coeffs_option(args), args.rhs, args.solution
-    rec = _parse_recurrence(coeff_texts, rhs_text)
-    ok = verify_rational(rec, parse_ratfunc(solution_text))
-    payload = {"verified": ok}
-    return (0 if ok else 1), payload, [f"verified: {'true' if ok else 'false'}"]
+    coeff_texts, rhs_text, solution_text = _inputs(args, ["rhs", "solution"], coeffs=True)
+    rec = LinearRecurrence(tuple(map(parse_poly, coeff_texts)), parse_poly(rhs_text))
+    return _verdict(verify_rational(rec, parse_ratfunc(solution_text)))
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit a JSON envelope on stdout")
     sub.add_argument("--verbose", action="store_true", help="include reduction traces")
-    sub.add_argument("--file", help="read the input expressions from a file, one per line")
+    sub.add_argument("--file", help="read the input expressions from a file, one per line, in place of the arguments")
 
 
 @functools.cache
@@ -370,9 +326,8 @@ def _run(args) -> int:
     command = args.command if args.command != "verify" else f"verify {args.verify_command}"
     try:
         code, payload, lines = args.handler(args)
-    except (_CommandError, ParseError, EvalError, ValueError, ZeroDivisionError, OSError) as exc:
-        message = getattr(exc, "message", None) or str(exc)
-        return _report_error(args, command, message, getattr(exc, "offset", None), 2)
+    except (InputError, OSError) as exc:
+        return _report_error(args, command, str(exc), getattr(exc, "offset", None), 2)
     except Exception as exc:  # a fault in ratrec itself, not in the input
         traceback.print_exc()
         return _report_error(args, command, f"internal error: {type(exc).__name__}: {exc}", None, 3)

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .dispersion import dispersion
-from .gcdseq import _require_order
-from .polys import Poly, RatFunc, _monic_ratio, cofactors, falling_product, gcd_monic, shift
+from .gcdseq import _lead_dispersion
+from .polys import InputError, Poly, RatFunc, _monic_ratio, cofactors, falling_product, gcd_monic, shift
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,7 @@ def abramov_reduce(p0: Poly, pd: Poly, d: int) -> AbramovTrace:
     falling factorials.  Only the shifts the dispersion names as witnesses
     can give a nontrivial gcd; every other step records 1 without a gcd.
     """
-    _require_order(d)
-    if p0.is_zero or pd.is_zero:
-        raise ValueError("reduction needs nonzero coefficient polynomials")
-    lead = shift(pd, -d)
-    shifts = dispersion(lead, p0)
+    lead, shifts = _lead_dispersion(p0, pd, d)
     n_max = shifts.value
     order = range(n_max, -1, -1)
     steps, lead, trail = _extract(lead, p0, order, {k for k, _ in shifts.witnesses})
@@ -166,9 +162,9 @@ def gp_rep_from_trace(a: Poly, b: Poly) -> GosperRep:
 
 def _require_coprime(a: Poly, b: Poly) -> None:
     if a.is_zero or b.is_zero:
-        raise ValueError("the pair must be nonzero polynomials")
+        raise InputError("the pair must be nonzero polynomials")
     if gcd_monic(a, b).degree > 0:
-        raise ValueError("the pair must be coprime")
+        raise InputError("the pair must be coprime")
 
 
 def _identity_holds(rep: GosperRep) -> bool:

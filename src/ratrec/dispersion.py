@@ -52,6 +52,7 @@ from itertools import accumulate
 
 from .intutil import is_probable_prime
 from .polys import (
+    InputError,
     Poly,
     _gf_euclid,
     _gf_gcd,
@@ -74,7 +75,7 @@ def resultant(a: Poly, b: Poly) -> Fraction:
     and Res(a, c) = c^deg(a); the empty case Res(c, c') is 1.
     """
     if a.is_zero or b.is_zero:
-        raise ValueError("resultant of a zero polynomial is undefined")
+        raise InputError("resultant of a zero polynomial is undefined")
     acc = Fraction(1)
     f, g = a, b
     while True:
@@ -295,7 +296,7 @@ def integer_roots(p: Poly) -> set[int]:
     each is checked by evaluating p at it exactly.
     """
     if p.is_zero:
-        raise ValueError("the zero polynomial has every integer as a root")
+        raise InputError("the zero polynomial has every integer as a root")
     ints = p.primitive
     if len(ints) == 1:
         return set()
@@ -337,7 +338,7 @@ def dispersion(a: Poly, b: Poly) -> DispersionResult:
     immutable, so every caller may hold the same one.
     """
     if a.is_zero or b.is_zero:
-        raise ValueError("dispersion of a zero polynomial is undefined")
+        raise InputError("dispersion of a zero polynomial is undefined")
     if a.degree == 0 or b.degree == 0:
         return DispersionResult(-1, ())
     return _dispersion(a.primitive, b.primitive)

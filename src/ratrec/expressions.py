@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import re
 
-from .polys import Poly, RatFunc
+from .polys import InputError, Poly, RatFunc
 from .recurrences import SolutionSet
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Syntax error with the byte offset where it was detected."""
 
     def __init__(self, message: str, offset: int):
@@ -48,7 +48,7 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class EvalError(ValueError):
+class EvalError(InputError):
     """Evaluation error (division by zero) with the operator's offset."""
 
     def __init__(self, message: str, offset: int):

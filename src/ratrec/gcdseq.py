@@ -13,7 +13,8 @@ steps through the sequence with one small gcd per witness shift, on
 primitive integer tuples through the integer gcd kernel of `polys`.  The
 same limit has a closed form as a single gcd of two falling-factorial
 products, and `universal_denominator` computes it along that second,
-independent route.  Every entry point refuses an order d below 1.
+independent route.  Every entry point refuses an order d below 1 and a
+zero trailing or leading coefficient, with one check.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dispersion import dispersion
-from .polys import Poly, _int_gcd, _make, _mul_ints, _shift_ints, falling_product, gcd_monic, shift
+from .dispersion import DispersionResult, dispersion
+from .polys import InputError, Poly, _int_gcd, _make, _mul_ints, _shift_ints, falling_product, gcd_monic, shift
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,9 @@ class GcdLimit:
 
 def gcd_term(p0: Poly, pd: Poly, d: int, k: int) -> Poly:
     """The k-th member G_k of the gcd sequence (k >= 1), monic."""
-    _require_order(d)
-    if p0.is_zero or pd.is_zero:
-        raise ValueError("gcd sequence needs nonzero coefficient polynomials")
+    _check_pair(p0, pd, d)
     if k < 1:
-        raise ValueError("gcd sequence index starts at 1")
+        raise InputError("gcd sequence index starts at 1")
     rising = Poly.one()
     falling = Poly.one()
     for j in range(k):
@@ -80,11 +79,7 @@ def gcd_limit(p0: Poly, pd: Poly, d: int) -> GcdLimit:
     becomes a monic Poly once, shared by the entries up to the next
     nontrivial step.
     """
-    _require_order(d)
-    if p0.is_zero or pd.is_zero:
-        raise ValueError("gcd sequence needs nonzero coefficient polynomials")
-    lead = shift(pd, -d)
-    shifts = dispersion(lead, p0)
+    lead, shifts = _lead_dispersion(p0, pd, d)
     n_max = shifts.value
     if n_max < 0:
         return GcdLimit(-1, Poly.one(), ())
@@ -124,10 +119,21 @@ def _peel(
     return p, found
 
 
-def _require_order(d: int) -> None:
-    """Refuse an equation order below 1, as `LinearRecurrence` does."""
+def _check_pair(p0: Poly, pd: Poly, d: int) -> None:
+    """Refuse an equation order below 1, as `LinearRecurrence` does, and a
+    zero trailing or leading coefficient."""
     if d < 1:
-        raise ValueError("the equation order d must be positive")
+        raise InputError("the equation order d must be positive")
+    if p0.is_zero or pd.is_zero:
+        raise InputError("the trailing and leading coefficients must be nonzero")
+
+
+def _lead_dispersion(p0: Poly, pd: Poly, d: int) -> tuple[Poly, DispersionResult]:
+    """pd(n-d) and its dispersion against p0(n), once the pair is checked;
+    every route to a universal denominator starts from them."""
+    _check_pair(p0, pd, d)
+    lead = shift(pd, -d)
+    return lead, dispersion(lead, p0)
 
 
 def universal_denominator(p0: Poly, pd: Poly, d: int) -> Poly:
@@ -137,11 +143,8 @@ def universal_denominator(p0: Poly, pd: Poly, d: int) -> Poly:
     gcd([p0(n+N)] falling (N+1), [pd(n-d)] falling (N+1)); returns 1 when
     the dispersion N is -1.
     """
-    _require_order(d)
-    if p0.is_zero or pd.is_zero:
-        raise ValueError("universal denominator needs nonzero coefficients")
-    n_max = dispersion(shift(pd, -d), p0).value
-    return _universal_from_shift(p0, pd, d, n_max)
+    _, shifts = _lead_dispersion(p0, pd, d)
+    return _universal_from_shift(p0, pd, d, shifts.value)
 
 
 def _universal_from_shift(p0: Poly, pd: Poly, d: int, n_max: int) -> Poly:

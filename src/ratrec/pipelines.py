@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .gcdseq import GcdLimit, gcd_limit
-from .polys import Poly, RatFunc, cofactors, exact_div, shift
+from .polys import InputError, Poly, RatFunc, cofactors, exact_div, shift
 from .recurrences import LinearRecurrence, SolutionSet, poly_solutions
 
 
@@ -91,7 +91,7 @@ def gosper(ratio: RatFunc) -> GosperSolution | None:
     valid certificate among many.
     """
     if ratio.is_zero:
-        raise ValueError("the term ratio of a hypergeometric term is nonzero")
+        raise InputError("the term ratio of a hypergeometric term is nonzero")
     a, b = ratio.num, ratio.den
     trace = gcd_limit(b, a, 1)
     g = trace.limit
@@ -116,10 +116,8 @@ def rational_solve(rec: LinearRecurrence) -> RationalSolutions:
     the trailing and leading coefficients, clears the equation by the lcm
     of the shifts of G, and solves the resulting polynomial equation.  An
     absent particular solution means the equation has no rational solution
-    at all.
+    at all.  A zero trailing coefficient is an `InputError` from `gcd_limit`.
     """
-    if rec.coeffs[0].is_zero:
-        raise ValueError("rational solving needs a nonzero trailing coefficient")
     trace = gcd_limit(rec.coeffs[0], rec.coeffs[-1], rec.order)
     return RationalSolutions(trace.limit, trace.max_shift, _cleared_solutions(rec, trace.limit))
 

@@ -73,6 +73,13 @@ NEG_INFINITY = float("-inf")
 _F0 = Fraction(0)
 _new = object.__new__
 
+
+class InputError(ValueError):
+    """An argument outside what a ratrec function accepts: a zero
+    polynomial where a nonzero one is needed, an order below 1, a pair that
+    is not coprime.  Every argument check in the package raises it."""
+
+
 # from this many coefficients in the shorter factor on, a product packs both
 # factors into one integer rather than running the schoolbook loops
 _KRONECKER_MIN_LEN = 12
@@ -179,7 +186,7 @@ class Poly:
     @staticmethod
     def monomial(power: int, c: Scalar = 1) -> "Poly":
         if power < 0:
-            raise ValueError("monomial power must be nonnegative")
+            raise InputError("monomial power must be nonnegative")
         return Poly((0,) * power + (c,))
 
     # -- basic queries -------------------------------------------------
@@ -299,7 +306,7 @@ class Poly:
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
-            raise ValueError("negative polynomial power")
+            raise InputError("negative polynomial power")
         if k == 0:
             return _ONE
         if not self._prim:
@@ -317,7 +324,7 @@ class Poly:
 
     def monic(self) -> "Poly":
         if not self._prim:
-            raise ValueError("the zero polynomial has no monic form")
+            raise InputError("the zero polynomial has no monic form")
         content = Fraction(1, self._prim[-1])
         if self._content == content:
             return self
@@ -596,7 +603,7 @@ def shift(a: Poly, k: int) -> Poly:
 def falling_product(f: Poly, k: int) -> Poly:
     """The product f(n) f(n-1) ... f(n-k+1); the empty product (k=0) is 1."""
     if k < 0:
-        raise ValueError("falling_product needs k >= 0")
+        raise InputError("falling_product needs k >= 0")
     if k == 0:
         return _ONE
     if not f._prim:
@@ -807,7 +814,7 @@ def gcd_monic(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(x, 0) = monic(x)."""
     if not a._prim or not b._prim:
         if not a._prim and not b._prim:
-            raise ValueError("gcd of two zero polynomials is undefined")
+            raise InputError("gcd of two zero polynomials is undefined")
         return (a or b).monic()
     return cofactors(a, b)[0]
 

@@ -31,7 +31,7 @@ from operator import mul
 
 from .dispersion import integer_roots
 from .linalg import solve_exact
-from .polys import Poly, RatFunc, falling_product, shift
+from .polys import InputError, Poly, RatFunc, falling_product, shift
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class LinearRecurrence:
 
     def __post_init__(self):
         if len(self.coeffs) < 2:
-            raise ValueError("a recurrence needs order at least 1")
+            raise InputError("a recurrence needs order at least 1")
         if self.coeffs[-1].is_zero:
-            raise ValueError("the leading coefficient must be nonzero")
+            raise InputError("the leading coefficient must be nonzero")
 
     @property
     def order(self) -> int:

@@ -455,6 +455,83 @@ class TestFileInput:
         assert code == 2
         assert "second" in err
 
+    # the typed pair n, n+5 has dispersion -1; the file's pair was used
+    # in its place, with exit 0
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (("dispersion", "n", "n+5"), ["n+2", "(n+1)*(n+2)"]),
+            (("gosper", "(n+1)/(n+3)"), ["(n+1)/(n+2)"]),
+            (("ratsolve", "--coeffs", "n", "n+1"), EX41_COEFFS + ["0"]),
+            (("verify", "ratsolve", "--solution", "1"), ["(-1)", "1", "0", "0"]),
+            (("verify", "ratsolve", "--coeffs", "n", "(-n-1)"), ["(-1)", "1", "0", "0"]),
+        ],
+    )
+    def test_file_excludes_arguments(self, capsys, tmp_path, argv, lines):
+        path = tmp_path / "exprs.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, payload, err = run_json(capsys, *argv, "--file", str(path))
+        assert code == 2
+        assert payload["status"] == "error"
+        assert "--file excludes" in err
+
+    def test_invalid_utf8_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "exprs.txt"
+        path.write_bytes(b"\xff")
+        code, payload, err = run_json(capsys, "gosper", "--file", str(path))
+        assert code == 2
+        assert payload["status"] == "error"
+        assert "UTF-8" in payload["result"]["message"]
+        assert "Traceback" not in err
+
+
+_PAIR = "the trailing and leading coefficients must be nonzero"
+
+
+class TestZeroInputs:
+    """A zero where the mathematics needs a nonzero polynomial, or an order
+    below 1, is refused by the library's own check, whose message the CLI
+    reports."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("dispersion", "n-n", "n"), "dispersion of a zero polynomial is undefined"),
+            (("dispersion", "n", "0"), "dispersion of a zero polynomial is undefined"),
+            *[
+                (("denominator", "--order", "1", "--method", method, *pair), _PAIR)
+                for method in ("explicit", "abramov", "gp")
+                for pair in (("0", "n"), ("n", "0"))
+            ],
+            *[
+                (("denominator", "--order", "0", "--method", method, "n", "n+1"),
+                 "the equation order d must be positive")
+                for method in ("explicit", "abramov")
+            ],
+            (("gosper", "0"), "the term ratio of a hypergeometric term is nonzero"),
+            (("gp-rep", "0"), "the pair must be nonzero polynomials"),
+            (("ratsolve", "--coeffs", "0", "n"), _PAIR),
+            (("ratsolve", "--coeffs", "n", "0"), "the leading coefficient must be nonzero"),
+            (("verify", "ratsolve", "--coeffs", "n", "0", "--solution", "1"),
+             "the leading coefficient must be nonzero"),
+        ],
+    )
+    def test_exits_2_with_the_library_message(self, capsys, argv, message):
+        code, payload, err = run_json(capsys, *argv)
+        assert code == 2
+        assert payload["status"] == "error"
+        assert payload["result"]["message"] == message
+        assert "Traceback" not in err
+
+    def test_verify_ratsolve_accepts_a_zero_trailing_coefficient(self, capsys):
+        # 0*y(n) + n*y(n+1) = 0 holds for y = 0; only rational solving
+        # needs the trailing coefficient nonzero
+        code, payload, _ = run_json(
+            capsys, "verify", "ratsolve", "--coeffs", "0", "n", "--rhs", "0", "--solution", "0"
+        )
+        assert code == 0
+        assert payload["result"]["verified"] is True
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -516,6 +593,21 @@ class TestInternalErrors:
         assert code == 3
         assert out == ""
         assert "error: internal error: RuntimeError: inexact division" in err
+
+
+    # a ValueError or ZeroDivisionError from inside ratrec is a fault, not
+    # an input error: only ratrec.InputError and OSError exit 2
+    @pytest.mark.parametrize("exc", [ValueError("bug"), ZeroDivisionError("bug")])
+    def test_value_errors_inside_ratrec_exit_3(self, capsys, monkeypatch, exc):
+        def broken(ratio):
+            raise exc
+
+        monkeypatch.setattr(ratrec.cli, "gosper", broken)
+        code, payload, err = run_json(capsys, "gosper", "(n+1)/(n+3)")
+        assert code == 3
+        assert payload["status"] == "error"
+        assert payload["result"]["message"] == f"internal error: {type(exc).__name__}: bug"
+        assert "Traceback" in err
 
 
 class _ClosedPipe(io.TextIOBase):
