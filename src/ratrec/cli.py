@@ -46,17 +46,18 @@ def _ratfunc_json(r: RatFunc) -> dict:
 def _inputs(args, names: list[str], coeffs: bool = False) -> list:
     """A command's expression strings in the order of `names`, after the
     list of --coeffs strings when `coeffs` is set: from the arguments, or
-    one a line from --file, which excludes the arguments (--rhs has a
-    default, so it never counts as given).  In a file the coefficients are
-    the lines before the last len(names)."""
+    one a line from --file, which excludes the arguments.  An --rhs not
+    given is "0".  In a file the coefficients are the lines before the last
+    len(names)."""
     labels = (["coeffs"] if coeffs else []) + names
     values = [getattr(args, label) for label in labels]
     if args.file is None:
+        values = ["0" if value is None and label == "rhs" else value for label, value in zip(labels, values)]
         missing = [label for label, value in zip(labels, values) if value is None]
         if missing:
             raise InputError(f"missing expression argument(s): {', '.join(missing)} (or use --file)")
         return values
-    given = [label for label, value in zip(labels, values) if value is not None and label != "rhs"]
+    given = [label for label, value in zip(labels, values) if value is not None]
     if given:
         raise InputError(f"--file excludes the expression arguments, got: {', '.join(given)}")
     try:
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratsolve", help="all rational solutions of a linear difference equation")
     p.add_argument("--coeffs", nargs="+", help="coefficient polynomials, trailing to leading")
-    p.add_argument("--rhs", default="0", help="right-hand side polynomial (default 0)")
+    p.add_argument("--rhs", help="right-hand side polynomial (default 0)")
     _add_common(p)
     p.set_defaults(handler=_cmd_ratsolve)
 
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = verify_sub.add_parser("ratsolve", help="check a rational solution of a recurrence")
     v.add_argument("--coeffs", nargs="+")
-    v.add_argument("--rhs", default="0")
+    v.add_argument("--rhs")
     v.add_argument("--solution", help="candidate rational solution")
     _add_common(v)
     v.set_defaults(handler=_cmd_verify_ratsolve)

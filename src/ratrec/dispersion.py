@@ -3,43 +3,60 @@
 The dispersion of a and b is the largest k >= 0 such that a(n) and b(n+k)
 share a nonconstant factor, or -1 when no such k exists.  Every such k is
 a root of the shift resultant R(h) = Res_n(a(n), b(n+h)), a polynomial of
-degree deg a * deg b in h, and, being the difference of a root of b and a
-root of a, it is at most B, the sum of the Fujiwara root bounds of a and
-b.  Fujiwara's bound (Tohoku Math. J. 10, 1916) for c_d n^d + ... + c_0 is
-computed exactly, as the smallest integer r with |c_{d-i}| 2^i <= |c_d| r^i
-for 0 < i < d and |c_0| 2^(d-1) <= |c_d| r^d.
+degree deg a * deg b in h, and the difference beta - alpha of a root of b
+and a root of a.
 
-The candidates are the h in [0, B] at which R vanishes modulo p, the
-smallest prime above max(2B, deg R) that divides neither leading
-coefficient, so that R mod p keeps its degree.  They are read off in one of
-three ways (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5 and
-14):
+Window.  Each input is centred at c = round(-c_(d-1) / (d c_d)), the
+integer nearest the mean of its roots, by one Taylor shift, and Fujiwara's
+bound r of the centred polynomial (Tohoku Math. J. 10, 1916) bounds the
+distance of every root from c.  It is computed exactly, as the smallest
+integer r with |c_(d-i)| 2^i <= |c_d| r^i for 0 < i < d and |c_0| 2^(d-1)
+<= |c_d| r^d.  So every shift lies in the window [lo, hi] = [max(0, c_b -
+c_a - r_a - r_b), c_b - c_a + r_a + r_b]; when hi < lo the dispersion is
+-1 at once.  The window is translation invariant: n + 2^4095 against n has
+the window [2^4095, 2^4095], and the expanded (n+3)^300 sits within 1 of
+its centre -3 (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5
+and 6).
 
-- Samples.  R(h) mod p is the resultant of a and of b shifted by h, one
-  Taylor step from the last, for h = 0 .. min(B, deg R), read off the
-  Euclidean sequence modulo p that the gcds of `polys` run too.  When
-  B <= deg R these samples are all there is to read.
-- Sweep.  Otherwise the backward differences of R at deg R, taken from the
-  samples, step on to B.  Each step replaces them by their prefix sums,
-  deg R additions, and the last sum is the next value R(h) mod p.
-- Roots.  When B is so far above deg R that the sweep would cost more, R
-  mod p is interpolated from its samples, its distinct roots are split off
-  by gcd(R, h^p - h) and then by equal-degree splitting with the fixed
-  offsets 1, 2, ..., and each residue in [0, B] is a candidate: since
-  p > 2B a residue in [0, B] is the root itself, while a negative root
-  lands above B.  Finding the roots takes about deg R^2 operations per bit
-  of p, so the sweep is taken while B - deg R is at most a constant times
-  deg R times the bits of p (`_sweeps`).
+The candidates are the j in [0, W], W = hi - lo, at which R(lo + j)
+vanishes modulo p, the smallest prime above max(2W, deg a deg b) that
+divides neither leading coefficient, however large lo is.  R stands for
+the shift resultant of the monic squarefree parts f / gcd(f, f') of a and
+b over GF(p), with b's moved by lo: it has the same roots, and repeated
+factors do not raise its degree D.  R is read off one of three ways:
 
-In all three, R stands for the shift resultant of the monic squarefree
-parts f / gcd(f, f') of a and b over GF(p), in place of a and b: it has
-the same roots, and repeated factors do not raise its degree.  Each
-candidate is verified by the gcd over Z that becomes its witness.
+- Samples.  R(lo + j) mod p is the resultant of a and of b shifted by
+  lo + j, one Taylor step from the last, read off the Euclidean sequence
+  modulo p that the gcds of `polys` run too: W + 1 resultants of about D
+  steps each.
+- Power sums and Horner's rule.  Newton's identities give the power sums
+  of the roots of both squarefree parts up to D, one product of their
+  exponential generating series gives those of the differences beta -
+  alpha, and Newton's identities run backwards give R's coefficients
+  (Bostan, Flajolet, Salvy & Schost, J. Symbolic Comput. 41, 2006): about
+  D^2 / 2 steps.  R is then evaluated at the W + 1 points of the window.
+- Power sums and roots.  In a window far wider than D, the distinct roots
+  of R mod p are split off by gcd(R, h^p - h) and then by equal-degree
+  splitting with the fixed offsets 1, 2, ..., and each residue in [0, W]
+  is a candidate.  That takes about D^2 operations per bit of p.
+
+The samples are taken while (W + 1) 5 <= D (`_samples_pay`), the roots
+while W > 4 D bits(p) (`_roots_pay`), and Horner's rule between.  Both
+constants are crossovers timed path against path on the same window and
+prime.  On the 948 dispersion calls of the seed-1 benchmark requests,
+where D / (W + 1) stays below 4 and W / (D bits(p)) below 4, the power
+sums won about 783 of the 822 calls with a nonempty window, and a
+samples constant of 2 or less lost; on pairs beyond that range the
+samples won from D / (W + 1) of about 5 up, and the roots from W / (D
+bits(p)) of 3 to 5 up.
+
+Each candidate is verified by the gcd over Z that becomes its witness.
 `dispersion` memoizes its results on the primitive parts of its inputs.
 
-`integer_roots` bounds the roots the same way and finds them with the same
-root finder, as symmetric residues modulo a prime above twice the bound,
-and checks every candidate by evaluating the polynomial at it exactly.
+`integer_roots` centres its input the same way and finds the roots of the
+centred polynomial with the same root finder, as symmetric residues modulo
+a prime above twice its bound, then moves them back and checks every
+candidate by evaluating the polynomial at it exactly.
 """
 
 from __future__ import annotations
@@ -48,7 +65,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from operator import mul
 
 from .intutil import is_probable_prime
 from .polys import (
@@ -210,103 +227,142 @@ def _gf_samples(a: Sequence[int], b: Sequence[int], p: int, count: int) -> list[
     return values
 
 
-def _gf_shift_resultant(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """R(h) = Res_n(a(n), b(n+h)) mod p, for integer coefficient sequences whose
-    leading entries p does not divide and p > deg a * deg b.
+def _gf_power_sums(f: list[int], count: int, p: int) -> list[int]:
+    """The power sums s_0, ..., s_(count-1) of the roots of the monic
+    residue list f of degree m, by Newton's identities: s_k = -(k c_(m-k)
+    + c_(m-1) s_(k-1) + ... + c_(m-t) s_(k-t)), t = min(k - 1, m), with
+    c_j = 0 below 0."""
+    m = len(f) - 1
+    sums = [m % p]
+    for k in range(1, count):
+        t = min(k - 1, m)
+        acc = sum(map(mul, f[m - t : m], sums[k - t : k]))
+        if k <= m:
+            acc += k * f[m - k]
+        sums.append(-acc % p)
+    return sums
 
-    Samples R at h = 0, 1, ..., deg a * deg b and interpolates in Newton
-    form.
+
+def _gf_power_sum_resultant(a: list[int], b: list[int], p: int) -> list[int]:
+    """R(h) = Res_n(a(n), b(n+h)) mod p = prod (h - (beta - alpha)) over the
+    roots alpha of a and beta of b, for monic residue lists a and b and a
+    prime p above D = deg a deg b; monic of degree D, ascending.
+
+    The power sums of the differences beta - alpha are one product of
+    exponential generating series, S_k / k! = sum_t (s_t(beta) / t!)
+    ((-1)^(k-t) s_(k-t)(alpha) / (k-t)!), and Newton's identities run
+    backwards turn them into R's coefficients e_k (R = sum e_k h^(D-k)):
+    k e_k = -(S_1 e_(k-1) + S_2 e_(k-2) + ... + S_k e_0).
     """
     top = (len(a) - 1) * (len(b) - 1)
-    values = _gf_samples(a, b, p, top + 1)
-    # divided differences at the abscissae 0..top: the gap at level l is l
-    for level in range(1, top + 1):
-        inv = pow(level, -1, p)
-        for i in range(top, level - 1, -1):
-            values[i] = (values[i] - values[i - 1]) * inv % p
-    # R = values[0] + (h - 0)(values[1] + (h - 1)(values[2] + ...))
-    out = [values[top]]
-    for i in range(top - 1, -1, -1):
-        out = [(prev - i * cur) % p for prev, cur in zip([0] + out, out + [0])]
-        out[0] = (out[0] + values[i]) % p
-    return out
+    fact = [1]
+    for k in range(1, top + 1):
+        fact.append(fact[-1] * k % p)
+    inv_fact = [pow(fact[top], -1, p)]
+    for k in range(top, 0, -1):
+        inv_fact.append(inv_fact[-1] * k % p)
+    inv_fact.reverse()
+    from_a = [s * w % p for s, w in zip(_gf_power_sums(a, top + 1, p), inv_fact)]
+    from_a[1::2] = [-x % p for x in from_a[1::2]]
+    from_b = [s * w % p for s, w in zip(_gf_power_sums(b, top + 1, p), inv_fact)]
+    composed = _mul_ints(tuple(from_b), tuple(from_a))
+    # S_top, ..., S_1: the dot product with e_0 .. e_(k-1) reads its last k
+    sums = [composed[k] * fact[k] % p for k in range(top, 0, -1)]
+    coeffs = [1]
+    for k in range(1, top + 1):
+        acc = sum(map(mul, coeffs, sums[top - k :]))
+        coeffs.append(-acc * inv_fact[k] * fact[k - 1] % p)
+    coeffs.reverse()
+    return coeffs
 
 
-# The sweep's prefix sums grow with every step; they are reduced mod p once
-# the largest passes this (2^30 to 2^250 timed alike).
-_SWEEP_REDUCE_ABOVE = 1 << 60
+def _gf_zeros(f: list[int], width: int, p: int) -> list[int]:
+    """The j in [0, width] at which the residue list f vanishes mod p, by
+    Horner's rule at every point at once."""
+    points = range(width + 1)
+    values = [0] * (width + 1)
+    for c in reversed(f):
+        values = [(v * j + c) % p for v, j in zip(values, points)]
+    return [j for j, v in enumerate(values) if not v]
 
 
-def _gf_sweep_zeros(values: list[int], stop: int, p: int) -> list[int]:
-    """The h in [len(values), stop] at which the polynomial of degree below
-    len(values) through the residues values[h] at h = 0, 1, ... vanishes
-    mod p."""
-    # backward differences at the last sample, highest order first, so
-    # that diffs[-1] is the value there
-    diffs = []
-    row = values
-    while row:
-        diffs.append(row[-1])
-        row = [(y - x) % p for x, y in zip(row, row[1:])]
-    diffs.reverse()
-    zeros = []
-    for h in range(len(values), stop + 1):
-        # the differences at h + 1 are the prefix sums of those at h
-        diffs = list(accumulate(diffs))
-        last = diffs[-1]
-        if last % p == 0:
-            zeros.append(h)
-        # the entries are nonnegative, so the prefix sums rise to the last
-        if last > _SWEEP_REDUCE_ABOVE:
-            diffs = [x % p for x in diffs]
-    return zeros
+# The crossovers between the three read-offs, each timed path against path
+# on the recorded dispersion calls of the benchmark workloads and on pairs
+# beyond their range (see the module docstring).
+_SAMPLE_WORK_PER_POINT = 5
+_ROOT_WORK_PER_POINT = 4
 
 
-# The sweep is taken while B - deg R <= this times deg R times the bits of
-# p.  Timed path by path on the dispersion calls of the three benchmark
-# workloads, the sweep won 586 of 587 calls up to 4, 3 of 4 up to 6, 5 of
-# 16 from 6 to 12 and none above 12.
-_SWEEP_STEPS_PER_ROOT_WORK = 6
+def _samples_pay(width: int, top: int) -> bool:
+    """Whether width + 1 Euclidean samples cost less than the power sums of
+    R, of degree top, and Horner's rule: a sample takes about top steps, the
+    backward Newton step alone top^2 / 2."""
+    return (width + 1) * _SAMPLE_WORK_PER_POINT <= top
 
 
-def _sweeps(bound: int, top: int, p: int) -> bool:
-    """Whether sweeping R mod p from top to bound costs less than
-    interpolating R, of degree top, and finding its roots."""
-    return bound - top <= _SWEEP_STEPS_PER_ROOT_WORK * top * p.bit_length()
+def _roots_pay(width: int, top: int, p: int) -> bool:
+    """Whether finding the roots of R mod p, of degree top, costs less than
+    Horner's rule at width + 1 points: about top^2 steps per bit of p
+    against top steps per point."""
+    return width > _ROOT_WORK_PER_POINT * top * p.bit_length()
 
 
-def _shift_candidates(a: Sequence[int], b: Sequence[int], bound: int, p: int) -> list[int]:
-    """The h in [0, bound] with Res_n(a(n), b(n+h)) = 0 mod p, ascending, for
-    p > max(2 bound, deg a * deg b) dividing neither leading entry."""
+def _shift_candidates(a: list[int], b: list[int], lo: int, width: int, p: int) -> list[int]:
+    """The j in [0, width] with Res_n(a(n), b(n + lo + j)) = 0 mod p,
+    ascending, for monic residue lists a and b and a prime p above
+    max(2 width, deg a deg b)."""
+    if lo % p:
+        b = [x % p for x in _shift_ints(b, lo % p)]
     top = (len(a) - 1) * (len(b) - 1)
-    if bound > top and not _sweeps(bound, top, p):
-        return [k for k in sorted(_gf_roots(_gf_shift_resultant(a, b, p), p)) if k <= bound]
-    values = _gf_samples(a, b, p, min(bound, top) + 1)
-    zeros = [h for h, v in enumerate(values) if v == 0]
-    if bound > top:
-        zeros += _gf_sweep_zeros(values, bound, p)
-    return zeros
+    if _samples_pay(width, top):
+        return [j for j, v in enumerate(_gf_samples(a, b, p, width + 1)) if not v]
+    resultant_mod_p = _gf_power_sum_resultant(a, b, p)
+    if _roots_pay(width, top, p):
+        return sorted(j for j in _gf_roots(resultant_mod_p, p) if j <= width)
+    return _gf_zeros(resultant_mod_p, width, p)
+
+
+def _centred(ints: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(c, ints(n + c)) for an integer polynomial of degree d >= 1 with a
+    positive leading entry, where c = round(-c_(d-1) / (d c_d)) is the
+    integer nearest the mean of its roots."""
+    d = len(ints) - 1
+    c = (d * ints[-1] - 2 * ints[-2]) // (2 * d * ints[-1])
+    return c, (_shift_ints(ints, c) if c else ints)
+
+
+def _window(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, int]:
+    """[lo, hi] holding every h >= 0 at which the primitive polynomials pa(n)
+    and pb(n+h) of degree >= 1 share a root: with pa centred at ca, pb at cb
+    and Fujiwara bounds ra, rb of the centred polynomials, every shift is
+    within ra + rb of cb - ca.  hi < lo when there is none."""
+    ca, centred_a = _centred(pa)
+    cb, centred_b = _centred(pb)
+    reach = _root_bound(centred_a) + _root_bound(centred_b)
+    return max(0, cb - ca - reach), cb - ca + reach
 
 
 def integer_roots(p: Poly) -> set[int]:
     """All integer roots of a nonzero polynomial.
 
-    The roots modulo the smallest odd prime above twice the root bound that
-    keeps the degree, read as symmetric residues, are the only candidates;
-    each is checked by evaluating p at it exactly.
+    The roots of p(n + c), c the integer nearest the mean of p's roots,
+    modulo the smallest odd prime above twice their root bound that keeps
+    the degree, read as symmetric residues and moved back by c, are the
+    only candidates; each is checked by evaluating p at it exactly.
     """
     if p.is_zero:
         raise InputError("the zero polynomial has every integer as a root")
     ints = p.primitive
     if len(ints) == 1:
         return set()
-    prime = _root_prime(max(2 * _root_bound(ints), 2), ints[-1])
+    c, centred = _centred(ints)
+    prime = _root_prime(max(2 * _root_bound(centred), 2), ints[-1])
     roots = set()
-    for r in _gf_roots([x % prime for x in ints], prime):
+    for r in _gf_roots([x % prime for x in centred], prime):
         if r > prime // 2:
             r -= prime
-        if p(r) == 0:
-            roots.add(r)
+        if p(r + c) == 0:
+            roots.add(r + c)
     return roots
 
 
@@ -347,13 +403,16 @@ def dispersion(a: Poly, b: Poly) -> DispersionResult:
 @lru_cache(maxsize=_MEMO_ENTRIES)
 def _dispersion(pa: tuple[int, ...], pb: tuple[int, ...]) -> DispersionResult:
     """The dispersion of the primitive polynomials pa and pb of degree >= 1."""
+    lo, hi = _window(pa, pb)
+    if hi < lo:
+        return DispersionResult(-1, ())
+    width = hi - lo
+    prime = _root_prime(max(2 * width, (len(pa) - 1) * (len(pb) - 1), 2), pa[-1], pb[-1])
     a, b = _make(Fraction(1), pa), _make(Fraction(1), pb)
-    bound = _root_bound(pa) + _root_bound(pb)
-    prime = _root_prime(max(2 * bound, (len(pa) - 1) * (len(pb) - 1)), pa[-1], pb[-1])
     witnesses = []
-    for k in _shift_candidates(_gf_squarefree(pa, prime), _gf_squarefree(pb, prime), bound, prime):
-        g = gcd_monic(a, shift(b, k))
+    for j in _shift_candidates(_gf_squarefree(pa, prime), _gf_squarefree(pb, prime), lo, width, prime):
+        g = gcd_monic(a, shift(b, lo + j))
         if g.degree >= 1:
-            witnesses.append((k, g))
+            witnesses.append((lo + j, g))
     value = witnesses[-1][0] if witnesses else -1
     return DispersionResult(value, tuple(witnesses))

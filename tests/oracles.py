@@ -13,10 +13,11 @@ replaced: a Fraction shift resultant interpolated over Q, and the divisors
 of its trailing coefficient tested as roots.  `dispersion_by_interpolation`
 is the modular search the sampling one replaced: the shift bound is the
 sum of the Cauchy root bounds, and every shift comes from the roots of the
-shift resultant interpolated mod p.  It calls the same GF(p) interpolation
-and root finder that `dispersion` keeps for a bound far above deg R, so on
-that path it checks the bound and the candidates kept, while
-`dispersion_by_divisors` checks the roots.  `fujiwara_holds` is the
+shift resultant interpolated mod p (`_gf_shift_resultant`, the
+interpolation the power-sum resultant of `dispersion` replaced).  It calls
+the same GF(p) root finder that `dispersion` keeps for a window far wider
+than deg R, so on that path it checks the window and the candidates kept,
+while `dispersion_by_divisors` checks the roots.  `fujiwara_holds` is the
 definition of Fujiwara's root bound, checked term by term.
 `cleared_by_products` is the clearing of a recurrence by its denominator's
 shifts that the lcm clearing replaced: coefficient m times the product of
@@ -35,7 +36,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from ratrec.dispersion import DispersionResult, _gf_roots, _gf_shift_resultant, _root_prime, dispersion, resultant
+from ratrec.dispersion import DispersionResult, _gf_roots, _gf_samples, _root_prime, dispersion, resultant
 from ratrec.expressions import ParseError
 from ratrec.gcdseq import GcdLimit
 from ratrec.intutil import factorize
@@ -334,6 +335,26 @@ def fujiwara_holds(ints: tuple[int, ...], r: int) -> bool:
         if abs(ints[d - i]) * 2**i > lead * r**i:
             return False
     return abs(ints[0]) * 2 ** (d - 1) <= lead * r**d
+
+
+def _gf_shift_resultant(a, b, p: int) -> list[int]:
+    """R(h) = Res_n(a(n), b(n+h)) mod p, for integer coefficient sequences
+    whose leading entries p does not divide and p > deg a * deg b: sampled
+    at h = 0, 1, ..., deg a * deg b by `dispersion._gf_samples` and
+    interpolated in Newton form."""
+    top = (len(a) - 1) * (len(b) - 1)
+    values = _gf_samples(a, b, p, top + 1)
+    # divided differences at the abscissae 0..top: the gap at level l is l
+    for level in range(1, top + 1):
+        inv = pow(level, -1, p)
+        for i in range(top, level - 1, -1):
+            values[i] = (values[i] - values[i - 1]) * inv % p
+    # R = values[0] + (h - 0)(values[1] + (h - 1)(values[2] + ...))
+    out = [values[top]]
+    for i in range(top - 1, -1, -1):
+        out = [(prev - i * cur) % p for prev, cur in zip([0] + out, out + [0])]
+        out[0] = (out[0] + values[i]) % p
+    return out
 
 
 def dispersion_by_interpolation(a: Poly, b: Poly) -> DispersionResult:

@@ -465,6 +465,9 @@ class TestFileInput:
             (("ratsolve", "--coeffs", "n", "n+1"), EX41_COEFFS + ["0"]),
             (("verify", "ratsolve", "--solution", "1"), ["(-1)", "1", "0", "0"]),
             (("verify", "ratsolve", "--coeffs", "n", "(-n-1)"), ["(-1)", "1", "0", "0"]),
+            # a typed --rhs was once taken for its default and the file's used
+            (("ratsolve", "--rhs", "5"), ["(-1)", "1", "0"]),
+            (("verify", "ratsolve", "--rhs", "5"), ["(-1)", "1", "0", "0"]),
         ],
     )
     def test_file_excludes_arguments(self, capsys, tmp_path, argv, lines):
@@ -474,6 +477,11 @@ class TestFileInput:
         assert code == 2
         assert payload["status"] == "error"
         assert "--file excludes" in err
+
+    def test_rhs_defaults_to_zero(self, capsys):
+        typed = run_json(capsys, "ratsolve", "--coeffs", "(-1)", "1", "--rhs", "0")
+        assert run_json(capsys, "ratsolve", "--coeffs", "(-1)", "1") == typed
+        assert typed[0] == 0
 
     def test_invalid_utf8_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "exprs.txt"

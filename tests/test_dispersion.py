@@ -13,20 +13,25 @@ from ratrec.denominators import abramov_reduce, gp_rep_from_trace
 from ratrec.dispersion import (
     _MEMO_ENTRIES,
     DispersionResult,
-    _gf_shift_resultant,
+    _centred,
+    _gf_power_sum_resultant,
     _gf_squarefree,
-    _gf_sweep_zeros,
+    _gf_zeros,
     _root_bound,
     _root_prime,
-    _sweeps,
+    _roots_pay,
+    _samples_pay,
+    _shift_candidates,
+    _window,
     dispersion,
     integer_roots,
     resultant,
 )
 from ratrec.gcdseq import gcd_limit, universal_denominator
-from ratrec.polys import Poly, gcd_monic, shift
+from ratrec.polys import Poly, _gf_gcd, _gf_monic, gcd_monic, shift
 
 from oracles import (
+    _gf_shift_resultant,
     brute_dispersion,
     dispersion_by_divisors,
     dispersion_by_interpolation,
@@ -318,19 +323,24 @@ class TestAgainstDivisorSearch:
         assert result.value >= k
 
 
-# -- sampling under Fujiwara's bound against the interpolating search ----------
+# -- the read-off over the centred window against the interpolating search ------
 
 
 def path_of(a, b):
     """Which way `dispersion` reads off the candidate shifts of (a, b)."""
+    if a.degree < 1 or b.degree < 1:
+        return "constant"
     pa, pb = a.primitive, b.primitive
-    bound = _root_bound(pa) + _root_bound(pb)
-    prime = _root_prime(max(2 * bound, int(a.degree * b.degree)), pa[-1], pb[-1])
+    lo, hi = _window(pa, pb)
+    if hi < lo:
+        return "empty"
+    width = hi - lo
+    prime = _root_prime(max(2 * width, int(a.degree * b.degree), 2), pa[-1], pb[-1])
     # R is the shift resultant of the squarefree parts modulo the prime
     top = (len(_gf_squarefree(pa, prime)) - 1) * (len(_gf_squarefree(pb, prime)) - 1)
-    if bound <= top:
+    if _samples_pay(width, top):
         return "samples"
-    return "sweep" if _sweeps(bound, top, prime) else "roots"
+    return "roots" if _roots_pay(width, top, prime) else "horner"
 
 
 def linear_factors(roots):
@@ -338,24 +348,25 @@ def linear_factors(roots):
 
 
 @st.composite
-def low_bound_pairs(draw):
-    """(a, b) of degree 3 to 6 whose roots have absolute value at most 2,
-    b often holding a factor of a shifted by up to 3: the shift bound
-    mostly stays within deg a deg b."""
-    irreducible = st.sampled_from([None, Poly((1, 0, 1)), Poly((1, 1, 1))])
-    a_factors = linear_factors(draw(st.lists(st.integers(-2, 2), min_size=3, max_size=4)))
-    extra = draw(irreducible)
-    if extra is not None:
-        a_factors.append(extra)
-    b_factors = [shift(f, -draw(st.integers(0, 3))) for f in a_factors if draw(st.booleans())]
-    b_factors += linear_factors(draw(st.lists(st.integers(-2, 2), min_size=max(0, 3 - len(b_factors)), max_size=4)))
-    return product(a_factors, draw(scales)), product(b_factors, draw(scales))
+def narrow_window_pairs(draw):
+    """(a, b) of degree 7 to 9 with coefficients 0 and +-1 below a leading
+    1, so that every root lies within 2 of 0, and b = a(n - k) for k up to 3
+    or another such polynomial: the window is at most 8 wide while deg R is
+    at least 49."""
+    small = st.integers(-1, 1)
+    degree = draw(st.integers(7, 9))
+    a = Poly(tuple(draw(st.lists(small, min_size=degree, max_size=degree))) + (1,))
+    if draw(st.booleans()):
+        b = shift(a, -draw(st.integers(0, 3)))
+    else:
+        b = Poly(tuple(draw(st.lists(small, min_size=degree, max_size=degree))) + (1,))
+    return a, b
 
 
 @st.composite
-def sweep_pairs(draw):
+def window_pairs(draw):
     """(a, b) of degree 2 to 4 with roots near 0, b holding factors of a
-    shifted by up to 60: the shift bound exceeds deg a deg b by a little."""
+    shifted by up to 60: the window is wider than deg R by a little."""
     shared = draw(root_factors(max_degree=2, far=False))
     a = product(shared + draw(root_factors(2, far=False)), draw(scales))
     b_factors = [shift(f, -draw(st.integers(0, 60))) for f in shared if draw(st.booleans())]
@@ -366,8 +377,8 @@ def sweep_pairs(draw):
 @st.composite
 def far_root_pairs(draw):
     """(a, b) of degree at most 2 with a root beyond 100, b often holding
-    a's linear factor shifted by up to 10^4: the shift bound is far above
-    deg a deg b."""
+    a's linear factor shifted by up to 10^4: the window is far wider than
+    deg R."""
     r = draw(st.integers(100, 10**4)) * draw(st.sampled_from([1, -1]))
     lead = draw(st.integers(1, 5))
     linear = Poly((-r, lead))
@@ -402,28 +413,50 @@ class TestAgainstInterpolation:
         a, b = pair
         assert dispersion(a, b) == dispersion_by_interpolation(a, b)
 
-    @given(low_bound_pairs())
+    @given(narrow_window_pairs())
     def test_samples_alone(self, pair):
         a, b = pair
         assume(path_of(a, b) == "samples")
         assert dispersion(a, b) == dispersion_by_interpolation(a, b)
 
-    @given(sweep_pairs())
-    def test_sweep(self, pair):
+    @given(window_pairs())
+    def test_power_sums(self, pair):
         a, b = pair
-        assume(path_of(a, b) == "sweep")
+        assume(path_of(a, b) == "horner")
         assert dispersion(a, b) == dispersion_by_interpolation(a, b)
 
     @given(far_root_pairs())
     def test_roots_of_the_interpolated_resultant(self, pair):
+        # the roots of the power-sum resultant against those of the
+        # interpolated one
         a, b = pair
         assume(path_of(a, b) == "roots")
         assert dispersion(a, b) == dispersion_by_interpolation(a, b)
 
     def test_each_path_is_taken(self):
-        assert path_of((N - 1) * N * (N + 1), (N - 2) * N * (N + 2)) == "samples"
-        assert path_of((N + 1) * (N + 3), (N - 10) * (N + 2)) == "sweep"
-        assert path_of(N - 5000, N + 3000) == "roots"
+        assert path_of(N**8 + N + 1, N**8 + N + 2) == "samples"
+        assert path_of((N + 1) * (N + 3), (N - 10) * (N + 2)) == "horner"
+        assert path_of((N + 5000) * (N - 1), N - 3000) == "roots"
+        assert path_of(N**40 + 1, shift(N**40 + 1, 7)) == "empty"
+
+    @pytest.mark.parametrize(
+        "a, b, lo, width, p, path",
+        [
+            (N * (N + 2) * (N**2 + 1), (N - 5) * (N**3 + 2), 5, 2, 17, "samples"),
+            (N * (N + 20), N - 3, 3, 20, 41, "horner"),
+            (N * (N + 100), N, 0, 100, 211, "roots"),
+        ],
+    )
+    def test_each_path_reads_both_ends_of_the_window(self, a, b, lo, width, p, path):
+        # a(n) and b(n + lo + j) share the root 0 at j = 0 and -width at
+        # j = width; R(lo + j) vanishes mod p exactly where their images
+        # mod p have a common factor
+        fa, fb = _gf_monic(a.primitive, p), _gf_monic(b.primitive, p)
+        top = int(a.degree * b.degree)
+        assert path == ("samples" if _samples_pay(width, top) else "roots" if _roots_pay(width, top, p) else "horner")
+        expected = [j for j in range(width + 1) if len(_gf_gcd(fa, shift(b, lo + j).primitive, p)) > 1]
+        assert expected[0] == 0 and expected[-1] == width
+        assert _shift_candidates(fa, fb, lo, width, p) == expected
 
     @given(
         st.sampled_from([11, 101, 10007, 2**31 - 1, 2**61 - 1]),
@@ -431,14 +464,155 @@ class TestAgainstInterpolation:
         st.lists(st.integers(0, 2**61), min_size=1, max_size=8),
         st.integers(0, 300),
     )
-    def test_sweep_zeros_are_the_zeros_of_the_polynomial(self, p, roots, other, stop):
-        # f = prod (n - r) * other over Z; the sweep reads f mod p past the
-        # deg f + 1 samples, whether or not p exceeds deg f
+    def test_window_zeros_are_the_zeros_of_the_polynomial(self, p, roots, other, stop):
+        # f = prod (n - r) * other over Z, read mod p at 0..stop, whether or
+        # not p exceeds deg f or stop
         f = product(linear_factors(roots) + [Poly(other)])
         assume(not f.is_zero)
-        samples = [int(f(h)) % p for h in range(int(f.degree) + 1)]
-        expected = [h for h in range(len(samples), stop + 1) if f(h) % p == 0]
-        assert _gf_sweep_zeros(samples, stop, p) == expected
+        residues = [int(c) % p for c in f.coeffs]
+        expected = [h for h in range(stop + 1) if f(h) % p == 0]
+        assert _gf_zeros(residues, stop, p) == expected
+
+
+# -- the shift resultant from power sums ----------------------------------------
+
+
+def first_prime_above(floor, *leading):
+    p = first_candidate_prime(floor)
+    while any(c % p == 0 for c in leading):
+        p = first_candidate_prime(p)
+    return p
+
+
+small_factors = st.sampled_from(
+    linear_factors([0, 1, -1, 2, -3]) + [Poly((1, 2)), Poly((1, 0, 1)), Poly((1, 1, 1)), Poly((-2, 0, 0, 1))]
+)
+
+
+@st.composite
+def resultant_inputs(draw):
+    """Integer polynomials of degree 1 to 8 from a few small factors, often
+    repeated, scaled by a small integer."""
+    factors = draw(st.lists(small_factors, min_size=1, max_size=4))
+    power = draw(st.integers(1, 3))
+    return product([factors[0] ** power] + factors[1:], draw(st.sampled_from([1, -1, 2, 3])))
+
+
+class TestPowerSumResultant:
+    @settings(max_examples=60)
+    @given(resultant_inputs(), resultant_inputs(), st.booleans())
+    def test_equals_the_interpolated_resultant_up_to_its_leading_coefficient(self, a, b, just_above):
+        # the interpolation samples Res(a(n), b(n+h)) of the inputs
+        # themselves; the power sums give the monic prod (h - (beta - alpha))
+        pa, pb = a.primitive, b.primitive
+        top = (len(pa) - 1) * (len(pb) - 1)
+        p = first_prime_above(top if just_above else 10**4, pa[-1], pb[-1])
+        interpolated = _gf_shift_resultant(pa, pb, p)
+        from_power_sums = _gf_power_sum_resultant(_gf_monic(pa, p), _gf_monic(pb, p), p)
+        assert len(from_power_sums) == top + 1 and from_power_sums[-1] == 1
+        assert interpolated == [interpolated[-1] * c % p for c in from_power_sums]
+
+    def test_small_case_against_the_sylvester_determinant(self):
+        a, b = (N + 1) * (N**2 + 3), (N - 2) ** 2
+        p = 101
+        coeffs = _gf_power_sum_resultant(_gf_monic(a.primitive, p), _gf_monic(b.primitive, p), p)
+        for h in range(-3, 9):
+            value = sum(c * h**i for i, c in enumerate(coeffs))
+            assert (value - sylvester_resultant(a, shift(b, h))) % p == 0
+
+    def test_prime_just_above_the_degree(self):
+        # D = 4 and p = 5: every k <= D is still invertible
+        a, b = (N + 1) ** 2, (N - 3) * (N + 4)
+        coeffs = _gf_power_sum_resultant(_gf_monic(a.primitive, 5), _gf_monic(b.primitive, 5), 5)
+        assert coeffs == [x % 5 for x in ((N - 4) ** 2 * (N + 3) ** 2).primitive]
+
+
+# -- the centred window -----------------------------------------------------------
+
+irreducible_factors = st.sampled_from(
+    [
+        Poly((1, 0, 1)),  # n^2 + 1
+        Poly((1, 1, 1)),  # n^2 + n + 1
+        Poly((-2, 0, 0, 1)),  # n^3 - 2
+        Poly((1, 1, 0, 1)),  # n^3 + n + 1
+        Poly((-2, 0, 0, 0, 1)),  # n^4 - 2
+        Poly((2, 2, 0, 0, 0, 1)),  # n^5 + 2n + 2
+        Poly((-2, 0, 0, 0, 0, 0, 1)),  # n^6 - 2
+    ]
+)
+
+
+@st.composite
+def planted_shift_pairs(draw):
+    """(a, b) built from an irreducible factor f of degree 2 to 6 and linear
+    factors with roots in [-6, 6]: b holds f(n - k) for k up to 15, or f(n + k)
+    for k up to 40, which often leaves the window empty.  Every shift is at
+    most 27, within the brute-force scan."""
+    f = draw(irreducible_factors)
+    k = draw(st.integers(0, 15))
+    b_shared = shift(f, -k) if draw(st.booleans()) else shift(f, draw(st.integers(1, 40)))
+    a = product([f] + linear_factors(draw(st.lists(st.integers(-6, 6), max_size=2))), draw(scales))
+    b = product([b_shared] + linear_factors(draw(st.lists(st.integers(-6, 6), max_size=2))), draw(scales))
+    return a, b
+
+
+class TestWindow:
+    @settings(max_examples=60)
+    @given(planted_shift_pairs())
+    def test_against_brute_force_and_interpolation(self, pair):
+        a, b = pair
+        result = dispersion(a, b)
+        assert result.value == brute_dispersion(a, b)
+        assert result == dispersion_by_interpolation(a, b)
+
+    def test_empty_window_takes_no_prime(self, monkeypatch):
+        def no_prime(*args):
+            raise AssertionError("a prime was searched for")
+
+        monkeypatch.setattr(dispersion_module, "_root_prime", no_prime)
+        dispersion_module._dispersion.cache_clear()
+        a = N**5 + 2 * N + 2
+        assert _window(a.primitive, shift(a, 30).primitive) == (0, -24)
+        assert dispersion(a, shift(a, 30)) == DispersionResult(-1, ())
+
+    @settings(max_examples=25)
+    @given(shifted_pairs(), st.integers(0, 4000).flatmap(lambda e: st.integers(-(2**e), 2**e)))
+    def test_translation_invariance(self, pair, t):
+        # a(n + t) and b(n + t + k) share the factor g(n + t) exactly when
+        # a(n) and b(n + k) share g(n)
+        a, b = pair
+        expected = dispersion(a, b)
+        moved = dispersion(shift(a, t), shift(b, t))
+        assert moved.value == expected.value
+        assert moved.witnesses == tuple((k, shift(g, t)) for k, g in expected.witnesses)
+
+    def test_distant_linear_pair(self):
+        result = dispersion(N + 2**4095, N)
+        assert result == DispersionResult(2**4095, ((2**4095, N + 2**4095),))
+
+    def test_centre_is_the_nearest_integer_to_the_mean_root(self):
+        assert _centred(((N - 7) * (N - 8) * (N - 9)).primitive)[0] == 8
+        assert _centred((2 * N + 7).primitive) == (-3, (1, 2))
+        assert _centred((N**2 + 1).primitive) == (0, (1, 0, 1))
+
+
+class TestCentredIntegerRoots:
+    @given(root_polys(), st.integers(0, 4000).flatmap(lambda e: st.integers(-(2**e), 2**e)))
+    def test_translated_roots(self, p, t):
+        # the roots of p(n + t) are those of p moved by -t
+        assert integer_roots(shift(p, t)) == {r - t for r in integer_roots_by_divisors(p)}
+
+    def test_distant_root_searches_no_large_prime(self, monkeypatch):
+        primes = []
+        real = dispersion_module._root_prime
+
+        def spy(floor, *leading):
+            primes.append(real(floor, *leading))
+            return primes[-1]
+
+        monkeypatch.setattr(dispersion_module, "_root_prime", spy)
+        assert integer_roots(N + 2**4095) == {-(2**4095)}
+        assert primes == [3]
 
 
 # -- Fujiwara's bound -------------------------------------------------------
@@ -486,11 +660,11 @@ class TestRootBound:
     @given(st.integers(1, 4), st.integers(-9, 9).filter(bool), st.integers(-30, 30), root_factors(max_degree=2))
     def test_integer_roots_when_the_first_prime_divides_the_leading_coefficient(self, m, c, r, rest):
         # f = (n - r)(q m n + c) * rest, with q the smallest prime above twice
-        # the root bound of f itself: the root search must pass over q
+        # the root bound of f centred: the root search must pass over q
         q, fixed = 3, False
         for _ in range(6):
             f = product([Poly((-r, 1)), Poly((c, q * m))] + rest)
-            bound_prime = first_candidate_prime(max(2 * _root_bound(f.primitive), 2))
+            bound_prime = first_candidate_prime(max(2 * _root_bound(_centred(f.primitive)[1]), 2))
             fixed = bound_prime == q
             if fixed:
                 break
@@ -502,13 +676,14 @@ class TestRootBound:
     @given(st.integers(1, 4), st.integers(-9, 9).filter(bool), st.integers(0, 40), root_factors(max_degree=2))
     def test_dispersion_when_the_first_prime_divides_a_leading_coefficient(self, m, c, k, rest):
         # a = (q m n + c) * rest and b = a's first factor shifted by -k, with q
-        # the smallest prime above max(2B, deg a deg b) for this very pair
+        # the smallest prime above max(2 W, deg a deg b, 2) for this very
+        # pair, W the width of its window
         q, fixed = 3, False
         for _ in range(6):
             linear = Poly((c, q * m))
             a, b = product([linear] + rest), shift(linear, -k)
-            bound = _root_bound(a.primitive) + _root_bound(b.primitive)
-            bound_prime = first_candidate_prime(max(2 * bound, int(a.degree * b.degree)))
+            lo, hi = _window(a.primitive, b.primitive)
+            bound_prime = first_candidate_prime(max(2 * (hi - lo), int(a.degree * b.degree), 2))
             fixed = bound_prime == q
             if fixed:
                 break
